@@ -1,8 +1,10 @@
 // IPv4 forwarding with a live control plane (section 7): routes come from
 // a route::Ipv4Fib and can change while the router forwards.
 //
-// Host side, the data path works on per-chunk snapshots (shared_ptr double
-// buffering). Device side, each GPU holds TWO copies of the DIR-24-8
+// Host side, each data-path call pins an epoch and reads the published
+// FIB generation through fib_.read() (no lock, no reference count; the
+// generation is reclaimed only after every pin taken before its
+// retirement is released — DESIGN.md §14). Device side, each GPU holds TWO copies of the DIR-24-8
 // arrays; sync() uploads a new FIB generation into the standby copy and
 // flips an atomic index, so kernels never observe a half-written table —
 // the "update forwarding table in GPU memory without disturbing the

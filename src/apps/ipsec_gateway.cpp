@@ -129,18 +129,21 @@ void IpsecGatewayApp::pre_shade(core::ShaderJob& job) {
     }
   }
 
-  // Serialize descriptors + block map + blob into gpu_input.
+  // Serialize [n_packets | n_blocks | descriptors | block map | blob] into
+  // gpu_input: size it once, then copy each region to its offset.
   const u32 n_packets = static_cast<u32>(descs.size());
-  job.gpu_input.clear();
-  auto push = [&](const void* p, std::size_t n) {
-    const auto* b = static_cast<const u8*>(p);
-    job.gpu_input.insert(job.gpu_input.end(), b, b + n);
-  };
-  push(&n_packets, sizeof(u32));
-  push(&n_blocks, sizeof(u32));
-  push(descs.data(), descs.size() * sizeof(PacketDesc));
-  push(blocks.data(), blocks.size() * sizeof(BlockRef));
-  push(blob.data(), blob.size());
+  const std::size_t descs_bytes = descs.size() * sizeof(PacketDesc);
+  const std::size_t blocks_bytes = blocks.size() * sizeof(BlockRef);
+  job.gpu_input.resize(2 * sizeof(u32) + descs_bytes + blocks_bytes + blob.size());
+  u8* dst = job.gpu_input.data();
+  std::memcpy(dst, &n_packets, sizeof(u32));
+  std::memcpy(dst + sizeof(u32), &n_blocks, sizeof(u32));
+  dst += 2 * sizeof(u32);
+  if (descs_bytes != 0) std::memcpy(dst, descs.data(), descs_bytes);
+  dst += descs_bytes;
+  if (blocks_bytes != 0) std::memcpy(dst, blocks.data(), blocks_bytes);
+  dst += blocks_bytes;
+  if (!blob.empty()) std::memcpy(dst, blob.data(), blob.size());
   job.gpu_items = n_blocks;
 }
 

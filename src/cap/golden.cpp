@@ -1,11 +1,15 @@
 #include "cap/golden.hpp"
 
+#include <chrono>
+#include <thread>
+
 #include "apps/ipsec_gateway.hpp"
 #include "apps/ipv4_forward.hpp"
 #include "apps/ipv6_forward.hpp"
 #include "cap/capture.hpp"
 #include "cap/replay.hpp"
 #include "core/model_driver.hpp"
+#include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
 #include "route/rib_gen.hpp"
@@ -60,17 +64,35 @@ gen::TrafficGen corpus_traffic(Corpus corpus) {
 }
 
 /// Replay the input through the paper-server testbed with `app` on the
-/// GPU path (inline SIMT execution — deterministic) and collect TX.
-FrameList run_through(core::Shader& app, const std::string& input_path) {
+/// GPU path (inline SIMT execution) under `scheduler` and collect TX.
+FrameList run_through(core::Shader& app, const std::string& input_path, Scheduler scheduler) {
+  const core::RouterConfig config{.use_gpu = true};
   core::Testbed testbed(
-      {.topo = pcie::Topology::paper_server(), .use_gpu = true, .ring_size = 4096},
-      core::RouterConfig{.use_gpu = true});
+      {.topo = pcie::Topology::paper_server(), .use_gpu = true, .ring_size = 4096}, config);
   FrameCollector sink;
   testbed.connect_sink(&sink);
 
   PcapReplayer replayer(input_path, {.rate = ReplayRate::kMax, .loop_count = 1});
-  core::ModelDriver driver(testbed, &app, core::RouterConfig{.use_gpu = true});
-  driver.run(static_cast<gen::FrameSource&>(replayer), ~u64{0});  // exits when the capture drains
+  if (scheduler == Scheduler::kModel) {
+    core::ModelDriver driver(testbed, &app, config);
+    driver.run(static_cast<gen::FrameSource&>(replayer), ~u64{0});  // exits when the capture drains
+    return canonicalize(sink.frames());
+  }
+
+  core::Router router(testbed.engine(), testbed.gpus(), app, config);
+  router.start();
+  u64 accepted = 0;
+  while (!replayer.exhausted()) accepted += replayer.offer_some(testbed.ports(), 64).accepted;
+  // Every accepted frame is accounted once it left the pipeline; stop()
+  // then joins the threads with nothing in flight. (total_stats() is safe
+  // to sample while the router runs; audit() is exact only once stopped.)
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    const core::WorkerStats st = router.total_stats();
+    if (st.packets_out + st.dropped() + st.slow_path >= accepted) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  router.stop();
   return canonicalize(sink.frames());
 }
 
@@ -111,30 +133,34 @@ void write_corpus_input(Corpus corpus, const std::string& path) {
   }
 }
 
-FrameList route_corpus(Corpus corpus, const std::string& input_path) {
+FrameList route_corpus(Corpus corpus, const std::string& input_path, Scheduler scheduler) {
   switch (corpus) {
     case Corpus::kIpv4Imix: {
       const auto rib = corpus_ipv4_rib();
       route::Ipv4Table table;
       table.build(rib);
       apps::Ipv4ForwardApp app(table);
-      return run_through(app, input_path);
+      return run_through(app, input_path, scheduler);
     }
     case Corpus::kIpv6: {
       const auto rib = corpus_ipv6_rib();
       route::Ipv6Table table;
       table.build(rib);
       apps::Ipv6ForwardApp app(table);
-      return run_through(app, input_path);
+      return run_through(app, input_path, scheduler);
     }
     case Corpus::kIpsec: {
-      const auto sa = crypto::SecurityAssociation::make_test_sa(
-          0x5151, net::Ipv4Addr(172, 16, 0, 1), net::Ipv4Addr(172, 16, 0, 2));
+      const auto sa = corpus_ipsec_sa();  // the app keeps a reference to it
       apps::IpsecGatewayApp app(sa);
-      return run_through(app, input_path);
+      return run_through(app, input_path, scheduler);
     }
   }
   return {};
+}
+
+crypto::SecurityAssociation corpus_ipsec_sa() {
+  return crypto::SecurityAssociation::make_test_sa(0x5151, net::Ipv4Addr(172, 16, 0, 1),
+                                                   net::Ipv4Addr(172, 16, 0, 2));
 }
 
 }  // namespace ps::cap

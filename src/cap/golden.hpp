@@ -9,6 +9,7 @@
 #include <string>
 
 #include "cap/expect.hpp"
+#include "crypto/esp.hpp"
 
 namespace ps::cap {
 
@@ -36,9 +37,21 @@ u64 corpus_frame_count(Corpus corpus);
 /// yields byte-identical files — the checksum manifest depends on it.
 void write_corpus_input(Corpus corpus, const std::string& path);
 
+/// Which scheduler drives the data path: the single-thread deterministic
+/// core::ModelDriver (the goldens are generated with it) or the threaded
+/// core::Router. Both run the same core/stages functions.
+enum class Scheduler : u8 { kModel, kThreaded };
+
 /// Replay the capture at `input_path` through the full router configured
-/// for `corpus` (paper-server testbed, GPU path, inline deterministic
-/// execution) and return the canonicalized TX frames.
-FrameList route_corpus(Corpus corpus, const std::string& input_path);
+/// for `corpus` (paper-server testbed, GPU path, inline SIMT execution)
+/// and return the canonicalized TX frames. IPsec output under kThreaded
+/// carries the same inner packets, but ESP sequence numbers follow the
+/// order in which the workers meet the packets.
+FrameList route_corpus(Corpus corpus, const std::string& input_path,
+                       Scheduler scheduler = Scheduler::kModel);
+
+/// The security association the IPsec corpus is encapsulated with (fresh
+/// anti-replay window), for decapsulating its TX.
+crypto::SecurityAssociation corpus_ipsec_sa();
 
 }  // namespace ps::cap

@@ -172,14 +172,14 @@ class WakeSignal {
   CondVar cv_;
 };
 
-/// N single-producer rings fanning into one consumer: the lock-free
-/// replacement for the master's MpscQueue input (section 5.3). Each
+/// N single-producer rings fanning into one consumer: the master's
+/// lock-free input queue (section 5.3). Each
 /// producer owns a private SpscRing — push never touches a lock, a cache
 /// line another producer writes, or (when no consumer is parked) anything
 /// beyond its own ring.
 ///
-/// Ordering contract — weaker than the MpscQueue it replaces, and relied
-/// upon by callers:
+/// Ordering contract — weaker than a mutex-guarded global queue, and
+/// relied upon by callers:
 ///  - per-producer FIFO: items from one producer are delivered in push
 ///    order (the SPSC ring guarantees it);
 ///  - cross-producer round-robin: the consumer sweeps the rings starting
@@ -187,7 +187,7 @@ class WakeSignal {
 ///    but there is NO global FIFO. An item pushed by producer A before an
 ///    item from producer B may be delivered after it (bounded by one sweep).
 /// Consumers that need arrival-order fairness across producers (none in
-/// the tree after PR 8) must keep their own sequence numbers.
+/// the tree) must keep their own sequence numbers.
 ///
 /// Capacity: the total is split evenly across producers (rounded up to a
 /// power of two, min 2 each), so one worker saturating its ring cannot
@@ -251,12 +251,11 @@ class SpscFanIn {
     return total;
   }
 
-  /// Consumer only: timed batch pop, same contract as
-  /// MpscQueue::pop_batch_wait_for — waits up to `timeout` for at least
+  /// Consumer only: timed batch pop — waits up to `timeout` for at least
   /// one item, then drains greedily; returns 0 on timeout as well as on
-  /// closed-and-drained (distinguish via drained()). Unlike the mutex
-  /// queue, an idle wait here is edge-triggered: a producer's try_push
-  /// ends it immediately instead of costing the full idle tick.
+  /// closed-and-drained (distinguish via drained()). The idle wait is
+  /// edge-triggered: a producer's try_push ends it immediately instead of
+  /// costing the full idle tick.
   template <typename Rep, typename Period>
   std::size_t pop_batch_wait_for(std::vector<T>& out, std::size_t max,
                                  std::chrono::duration<Rep, Period> timeout) {

@@ -1,29 +1,13 @@
 #include "core/model_driver.hpp"
 
 #include <cassert>
-#include <cstring>
 
 #include "perf/calibration.hpp"
 
 namespace ps::core {
 
-namespace {
-/// Drop every integrity-flagged, not-yet-dropped packet (kIntegrityFail).
-u32 drop_flagged(integrity::IntegrityChecker& checker, iengine::PacketChunk& chunk) {
-  u32 dropped = 0;
-  for (u32 i = 0; i < chunk.count(); ++i) {
-    if (!chunk.integrity_bad(i)) continue;
-    if (chunk.verdict(i) == iengine::PacketVerdict::kDrop) continue;
-    chunk.set_drop(i, iengine::DropReason::kIntegrityFail);
-    ++dropped;
-  }
-  if (dropped != 0) checker.count_quarantined(dropped);
-  return dropped;
-}
-}  // namespace
-
 ModelDriver::ModelDriver(Testbed& testbed, Shader* shader, RouterConfig config)
-    : testbed_(testbed), shader_(shader), config_(config) {
+    : testbed_(testbed), shader_(shader), config_(config), shadow_(config.chunk_capacity) {
   const auto& topo = testbed_.topology();
   const int wpn = testbed_.workers_per_node();
 
@@ -42,7 +26,6 @@ ModelDriver::ModelDriver(Testbed& testbed, Shader* shader, RouterConfig config)
     }
   }
   node_pending_.resize(static_cast<std::size_t>(topo.num_nodes));
-  shadow_scratch_.reserve(std::size_t{config_.chunk_capacity} * ShaderJob::kStagingBytesPerItem);
 }
 
 i16 ModelDriver::minimal_out_port(int in_port) const {
@@ -51,72 +34,12 @@ i16 ModelDriver::minimal_out_port(int in_port) const {
   return static_cast<i16>(in_port ^ 1);
 }
 
-void ModelDriver::shadow_verify(std::span<ShaderJob* const> batch) {
-  const u64 seq = shadow_seq_++;
-  if (!integrity_->should_shadow_verify(seq, /*escalated=*/false)) return;
-  for (ShaderJob* job : batch) {
-    if (job->applied_in_place) {
-      // In-place scatter (mirrors Router::shadow_verify_batch): recompute
-      // the canonical layout on the CPU, compare the frames span-by-span,
-      // and repair mismatched spans in place so the CPU truth ships.
-      integrity_->count_shadow_batch();
-      shader_->shade_cpu(*job);
-      u64 bad_items = 0;
-      i64 last_bad_packet = -1;  // plan is packet-ordered
-      for (const auto& span : job->scatter_plan) {
-        auto frame = job->chunk.packet(span.packet);
-        u8* frame_bytes = frame.data() + span.frame_off;
-        const u8* truth = job->gpu_output.data() + span.out_off;
-        if (std::memcmp(frame_bytes, truth, span.len) == 0) continue;
-        std::memcpy(frame_bytes, truth, span.len);
-        if (static_cast<i64>(span.packet) != last_bad_packet) {
-          ++bad_items;
-          last_bad_packet = static_cast<i64>(span.packet);
-        }
-      }
-      if (bad_items == 0) continue;
-      integrity_->count_shadow_mismatch(bad_items);
-      integrity_->count_reshaded_batch();
-      continue;
-    }
-    if (job->gpu_output.empty()) continue;
-    integrity_->count_shadow_batch();
-    shadow_scratch_.assign(job->gpu_output.begin(), job->gpu_output.end());
-    shader_->shade_cpu(*job);  // recomputes gpu_output: the CPU ground truth
-    if (shadow_scratch_ == job->gpu_output) continue;
-    u64 bad_items = 0;
-    const std::size_t items = std::max<u32>(job->gpu_items, 1);
-    const std::size_t stride = job->gpu_output.size() / items;
-    if (stride == 0 || job->gpu_output.size() % items != 0) {
-      bad_items = 1;
-    } else {
-      for (std::size_t i = 0; i < items; ++i) {
-        if (std::memcmp(shadow_scratch_.data() + i * stride,
-                        job->gpu_output.data() + i * stride, stride) != 0) {
-          ++bad_items;
-        }
-      }
-    }
-    integrity_->count_shadow_mismatch(bad_items);
-    integrity_->count_reshaded_batch();  // the CPU result above ships instead
-  }
-}
-
-void ModelDriver::process_chunk_cpu(WorkerCtx& worker, ShaderJob& job) {
-  (void)worker;
-  auto& chunk = job.chunk;
-  // The inline CPU path crosses no further hand-off boundary: integrity
-  // coverage ends with the RX admission check (mirrors the Router).
-  chunk.set_stamped(false);
-  if (shader_ != nullptr) {
-    shader_->process_cpu(chunk);
-  } else {
-    // Minimal forwarding: echo to the peer port, no table lookup (§4.6).
-    const i16 out = minimal_out_port(chunk.in_port);
-    for (u32 i = 0; i < chunk.count(); ++i) {
-      chunk.set_verdict(i, iengine::PacketVerdict::kForward);
-      chunk.set_out_port(i, out);
-    }
+void ModelDriver::minimal_forward(iengine::PacketChunk& chunk) const {
+  // Echo to the peer port, no table lookup (§4.6).
+  const i16 out = minimal_out_port(chunk.in_port);
+  for (u32 i = 0; i < chunk.count(); ++i) {
+    chunk.set_verdict(i, iengine::PacketVerdict::kForward);
+    chunk.set_out_port(i, out);
   }
 }
 
@@ -165,6 +88,12 @@ ModelResult ModelDriver::run_impl(gen::FrameSource& source, gen::TrafficGen* txo
   }
 
   ModelResult result;
+  auto tally = [&result](const iengine::PacketChunk& chunk) {
+    for (u32 i = 0; i < chunk.count(); ++i) {
+      if (chunk.verdict(i) == iengine::PacketVerdict::kDrop) ++result.dropped;
+      if (chunk.verdict(i) == iengine::PacketVerdict::kSlowPath) ++result.slow_path;
+    }
+  };
   std::vector<JobPtr> free_jobs;
   auto acquire = [&]() -> JobPtr {
     if (!free_jobs.empty()) {
@@ -243,29 +172,22 @@ ModelResult ModelDriver::run_impl(gen::FrameSource& source, gen::TrafficGen* txo
           free_jobs.push_back(std::move(job));
           continue;
         }
-        if (integrity_ != nullptr) {
-          // RX admission check against the NIC's wire CRC — the stamping
-          // overhead the fig11a integrity ablation prices.
-          if (integrity_->verify_chunk(job->chunk, integrity::Stage::kRx) != 0) {
-            drop_flagged(*integrity_, job->chunk);
-          }
-        }
+        stages::admit_rx(integrity_, *job);
         const bool cpu_path =
             shader_ == nullptr || !config_.use_gpu ||
             (config_.opportunistic_threshold != 0 && n < config_.opportunistic_threshold);
         if (cpu_path) {
-          process_chunk_cpu(worker, *job);
-          result.forwarded += worker.handle->send_chunk(job->chunk);
-          for (u32 i = 0; i < job->chunk.count(); ++i) {
-            if (job->chunk.verdict(i) == iengine::PacketVerdict::kDrop) ++result.dropped;
-            if (job->chunk.verdict(i) == iengine::PacketVerdict::kSlowPath) ++result.slow_path;
+          if (shader_ != nullptr) {
+            stages::process_inline(*shader_, *job);
+          } else {
+            minimal_forward(job->chunk);
           }
+          result.forwarded += worker.handle->send_chunk(job->chunk);
+          tally(job->chunk);
           free_jobs.push_back(std::move(job));
         } else {
           job->worker_id = static_cast<int>(&worker - workers_.data());
-          shader_->pre_shade(*job);
-          // Sanctioned mutation point: re-stamp before the master hand-off.
-          if (integrity_ != nullptr) integrity_->stamp_chunk(job->chunk);
+          stages::run_pre_shade(*shader_, integrity_, *job);
           node_pending_[static_cast<std::size_t>(worker.node)].push_back(std::move(job));
         }
       }
@@ -284,54 +206,30 @@ ModelResult ModelDriver::run_impl(gen::FrameSource& source, gen::TrafficGen* txo
           for (std::size_t j = i; j < std::min(pending.size(), i + config_.gather_max); ++j) {
             batch.push_back(pending[j].get());
           }
-          if (integrity_ != nullptr) {
-            for (auto* job : batch) {
-              integrity_->verify_chunk(job->chunk, integrity::Stage::kGather);
-            }
-          }
-          const ShadeOutcome outcome =
-              shader_->shade(gpu_ctx[static_cast<std::size_t>(n)], {batch.data(), batch.size()});
+          const std::span<ShaderJob* const> jobs{batch.data(), batch.size()};
+          stages::check_gather(integrity_, jobs);
+          const ShadeOutcome outcome = shader_->shade(gpu_ctx[static_cast<std::size_t>(n)], jobs);
           if (!outcome.ok()) {
-            // The analytic driver has no retry loop; re-shade on the CPU so
-            // a model run under fault injection still accounts every packet.
-            for (auto* job : batch) shader_->shade_cpu(*job);
+            // No retry loop here; re-shade on the CPU so a model run under
+            // fault injection still accounts every packet.
+            stages::shade_on_cpu(*shader_, jobs);
           } else if (integrity_ != nullptr) {
-            shadow_verify({batch.data(), batch.size()});
+            // No health machinery either: a trip is counted (device
+            // suspect) by the verifier and otherwise has no effect.
+            shadow_.verify_batch(*shader_, *integrity_, jobs);
           }
-          if (integrity_ != nullptr) {
-            // In-place scatter: the D2H wrote the frames, so the master
-            // re-certifies them here (after shading + shadow verification)
-            // — mirrors Router::master_loop's sanctioned mutation site.
-            for (auto* job : batch) {
-              if (!job->scatter_plan.empty() && job->chunk.stamped()) {
-                integrity_->stamp_chunk(job->chunk);
-              }
-            }
-          }
+          stages::restamp_in_place(integrity_, jobs);
         }
 
         // --- worker post-shading + staged TX ---------------------------------
         for (auto& job : pending) {
           auto& worker = workers_[static_cast<std::size_t>(job->worker_id)];
           perf::CpuChargeScope wscope(&ledger_, static_cast<u16>(worker.core));
-          if (integrity_ != nullptr) {
-            integrity_->verify_chunk(job->chunk, integrity::Stage::kScatter);
-          }
-          shader_->post_shade(*job);
-          if (integrity_ != nullptr && job->chunk.stamped()) {
-            drop_flagged(*integrity_, job->chunk);
-            // Re-stamp only if post_shade wrote frame bytes; in-place
-            // results carry the master's post-shade stamp (mirrors the
-            // Router's narrowed worker restamp).
-            if (job->frames_dirty) integrity_->stamp_chunk(job->chunk);
-            integrity_->verify_chunk(job->chunk, integrity::Stage::kTx);
-            drop_flagged(*integrity_, job->chunk);
-          }
+          stages::check_scatter(*shader_, integrity_, *job);
+          stages::run_post_shade(*shader_, integrity_, *job);
+          stages::check_tx(integrity_, *job);
           result.forwarded += worker.handle->stage_chunk_tx(job->chunk);
-          for (u32 i = 0; i < job->chunk.count(); ++i) {
-            if (job->chunk.verdict(i) == iengine::PacketVerdict::kDrop) ++result.dropped;
-            if (job->chunk.verdict(i) == iengine::PacketVerdict::kSlowPath) ++result.slow_path;
-          }
+          tally(job->chunk);
           free_jobs.push_back(std::move(job));
         }
         pending.clear();

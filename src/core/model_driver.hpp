@@ -1,17 +1,23 @@
-// Steady-state throughput model executor (DESIGN.md §4).
+// The deterministic scheduler over core/stages (DESIGN.md §4).
 //
-// Runs the full functional pipeline — generator → NIC DMA → io-engine →
-// pre-shade → shade (GPU) → post-shade → TX — deterministically on one
-// host thread, with every stage charging its modeled resource. The
-// sustainable rate is then work / busiest-resource-time. This produces all
-// Figure 6 / Figure 11 numbers; real threads (core::Router) exist for
-// functional integration tests where wall-clock shape does not matter.
+// core::Router and ModelDriver are two schedulers over one data path: the
+// per-chunk stage functions in core/stages. The Router runs them on worker
+// and master threads joined by SPSC rings; ModelDriver runs the same
+// stages in the same order on one host thread — generator → NIC DMA →
+// io-engine → RX admission → pre-shade → gather → shade → post-shade →
+// TX — with every stage charging its modeled resource through the ambient
+// CpuChargeScope. The sustainable rate is work / busiest-resource-time on
+// that ledger (the model clock); it produces every Figure 5 / 6 / 11
+// number. What only this scheduler has: the ledger, the I/O-only modes
+// and minimal forwarding. What only the Router has: threads, backpressure,
+// supervision and GPU retry/health.
 #pragma once
 
 #include <optional>
 #include <string>
 
 #include "core/shader.hpp"
+#include "core/stages.hpp"
 #include "core/testbed.hpp"
 #include "gen/source.hpp"
 #include "gen/traffic.hpp"
@@ -66,10 +72,11 @@ class ModelDriver {
   const perf::CostLedger& ledger() const { return ledger_; }
 
   /// Attach the data-plane integrity layer for overhead ablation: the
-  /// driver mirrors the Router's boundary checks (RX admission, gather,
-  /// scatter, pre-TX) and sampled shadow verification, charging their CPU
-  /// cost to the ambient ledger so benches can price them. Null = off
-  /// (the default); the checker must outlive the driver.
+  /// stages run their boundary checks (RX admission, gather, scatter,
+  /// pre-TX) and sampled shadow verification, charging the CPU cost to
+  /// the ledger so benches can price them. One shadow sampler spans all
+  /// nodes, and a shadow trip is only counted (no health fallback here).
+  /// Null = off (the default); the checker must outlive the driver.
   void set_integrity(integrity::IntegrityChecker* checker) { integrity_ = checker; }
 
  private:
@@ -84,19 +91,15 @@ class ModelDriver {
     iengine::IoHandle* handle = nullptr;
   };
 
-  void process_chunk_cpu(WorkerCtx& worker, ShaderJob& job);
-  /// Sampled shadow verification of one GPU-shaded batch (no escalation or
-  /// health machinery here — the analytic driver prices the steady-state
-  /// sampling cost; the trip state machine is the Router's).
-  void shadow_verify(std::span<ShaderJob* const> batch);
+  /// Minimal forwarding (no shader): echo to the peer port.
+  void minimal_forward(iengine::PacketChunk& chunk) const;
   i16 minimal_out_port(int in_port) const;
 
   Testbed& testbed_;
   Shader* shader_;
   RouterConfig config_;
   integrity::IntegrityChecker* integrity_ = nullptr;
-  u64 shadow_seq_ = 0;
-  std::vector<u8> shadow_scratch_;
+  stages::ShadowVerifier shadow_;
   perf::CostLedger ledger_;
   std::vector<WorkerCtx> workers_;
   std::vector<std::vector<JobPtr>> node_pending_;  // gathered jobs per node

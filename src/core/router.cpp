@@ -39,8 +39,7 @@ Router::Router(iengine::PacketIoEngine& engine, std::vector<gpu::GpuDevice*> gpu
       // aggregate, so the backpressure arithmetic is unchanged).
       node.master_in = std::make_unique<SpscFanIn<ShaderJob*>>(
           static_cast<std::size_t>(workers_per_node_), config_.master_queue_capacity);
-      node.shadow_scratch.reserve(std::size_t{config_.chunk_capacity} *
-                                  ShaderJob::kStagingBytesPerItem);
+      node.shadow = stages::ShadowVerifier(config_.chunk_capacity);
       node.gpu.device = gpus[static_cast<std::size_t>(n)];
       node.gpu.streams.push_back(gpu::kDefaultStream);
       for (u32 s = 1; s < config_.num_streams; ++s) {
@@ -119,14 +118,8 @@ void Router::release_job(WorkerRuntime& worker, ShaderJob* job) {
 
 void Router::stage_finish(WorkerRuntime& worker, ShaderJob* job) {
   auto& st = *stats_[static_cast<std::size_t>(worker.id)];
-  if (integrity_ != nullptr && job->chunk.stamped()) {
-    // Pre-TX-doorbell check: the last look before the wire (and before
-    // slow-path delivery — the host stack must not see corrupt bytes
-    // either). Anything flagged here or at an earlier boundary is dropped,
-    // never sent.
-    integrity_->verify_chunk(job->chunk, integrity::Stage::kTx);
-    drop_integrity_bad(*job);
-  }
+  // Before slow-path delivery too: the host stack must not see corrupt bytes.
+  stages::check_tx(integrity_, *job);
   for (u32 i = 0; i < job->chunk.count(); ++i) {
     if (job->chunk.verdict(i) != iengine::PacketVerdict::kSlowPath) continue;
     if (host_stack_ != nullptr) {
@@ -186,12 +179,7 @@ void Router::process_cpu_only(WorkerRuntime& worker, ShaderJob* job) {
   stats_[static_cast<std::size_t>(worker.id)]->cpu_processed.fetch_add(
       job->chunk.count(), std::memory_order_relaxed);
   if (tracer_ != nullptr) tracer_->mark_cpu_path(job->trace_slot);
-  // Inline CPU path: integrity coverage ends with the RX admission check.
-  // The chunk never leaves this thread again and process_cpu rewrites
-  // headers in place, so clear the stamp rather than pay a re-stamp +
-  // re-verify for a hand-off boundary that is not there.
-  job->chunk.set_stamped(false);
-  shader_.process_cpu(job->chunk);
+  stages::process_inline(shader_, *job);
   if (tracer_ != nullptr) tracer_->stamp(job->trace_slot, telemetry::Stage::kScatter);
   finish_job(worker, job);
 }
@@ -224,14 +212,7 @@ bool Router::recv_and_dispatch(WorkerRuntime& worker, iengine::IoHandle* handle,
   heartbeats_[static_cast<std::size_t>(worker.id)].value.advance(n);
   if (adopted) st.adopted_chunks.fetch_add(1, std::memory_order_relaxed);
   if (worker.bp_active) st.bp_reduced_batches.fetch_add(1, std::memory_order_relaxed);
-  if (integrity_ != nullptr) {
-    // RX admission: huge-buffer bytes vs the NIC's wire CRC. A cell a
-    // flaky DIMM (or a misbehaving DMA) flipped is dropped here, before
-    // any stage spends cycles on it.
-    if (integrity_->verify_chunk(job->chunk, integrity::Stage::kRx) != 0) {
-      drop_integrity_bad(*job);
-    }
-  }
+  stages::admit_rx(integrity_, *job);
 
   const bool take_cpu_path =
       !config_.use_gpu ||
@@ -240,11 +221,7 @@ bool Router::recv_and_dispatch(WorkerRuntime& worker, iengine::IoHandle* handle,
     process_cpu_only(worker, job);
     return true;
   }
-  shader_.pre_shade(*job);
-  // pre_shade is a sanctioned mutation point (header rewrite; IPsec even
-  // swaps in a new chunk), so re-take the stamp: it now certifies the
-  // bytes handed across the worker->master boundary.
-  if (integrity_ != nullptr) integrity_->stamp_chunk(job->chunk);
+  stages::run_pre_shade(shader_, integrity_, *job);
   const bool push_ok =
       !divert_cpu &&
       (injector_ == nullptr || !injector_->should_fire("core.master_queue")) &&
@@ -263,9 +240,7 @@ bool Router::recv_and_dispatch(WorkerRuntime& worker, iengine::IoHandle* handle,
     st.cpu_processed.fetch_add(n, std::memory_order_relaxed);
     if (tracer_ != nullptr) tracer_->mark_cpu_path(job->trace_slot);
     shader_.shade_cpu(*job);
-    shader_.post_shade(*job);
-    // post_shade applied results to the headers: re-stamp for the TX check.
-    if (integrity_ != nullptr) integrity_->stamp_chunk(job->chunk);
+    stages::run_post_shade(shader_, integrity_, *job);
     if (tracer_ != nullptr) tracer_->stamp(job->trace_slot, telemetry::Stage::kScatter);
     finish_job(worker, job);
   }
@@ -288,41 +263,14 @@ bool Router::drain_scatter(WorkerRuntime& worker, WorkerCounters& st, u32& infli
                                               worker.scatter_scratch.size())) > 0) {
     for (std::size_t j = 0; j < swept; ++j) {
       ShaderJob* job = worker.scatter_scratch[j];
+      stages::check_scatter(shader_, integrity_, *job);
       if (job->shaded_on_cpu) {
-        // The master's GPU failed this batch (or shadow verification
-        // quarantined its results); the packets were shaded on the CPU,
-        // so re-attribute them.
+        // The master's GPU failed this batch, or shadow verification or the
+        // scatter check quarantined its results: re-attribute the packets.
         st.gpu_processed.fetch_sub(job->chunk.count(), std::memory_order_relaxed);
         st.cpu_processed.fetch_add(job->chunk.count(), std::memory_order_relaxed);
       }
-      if (integrity_ != nullptr &&
-          integrity_->verify_chunk(job->chunk, integrity::Stage::kScatter) != 0 &&
-          !job->shaded_on_cpu) {
-        // Packet bytes changed somewhere between the master's post-shade
-        // stamp and this scatter boundary: quarantine. One CPU re-shade
-        // recomputes the results from the gathered inputs; the flagged
-        // packets themselves stay bad and are dropped below, once
-        // post_shade has assigned verdicts (not before — post_shade
-        // would overwrite them). An in-place device result is no longer
-        // trusted either: clearing applied_in_place makes post_shade
-        // apply the CPU ground truth over the suspect frames.
-        shader_.shade_cpu(*job);
-        integrity_->count_reshaded_batch();
-        job->shaded_on_cpu = true;
-        job->applied_in_place = false;
-        st.gpu_processed.fetch_sub(job->chunk.count(), std::memory_order_relaxed);
-        st.cpu_processed.fetch_add(job->chunk.count(), std::memory_order_relaxed);
-      }
-      shader_.post_shade(*job);
-      if (integrity_ != nullptr && job->chunk.stamped()) {
-        drop_integrity_bad(*job);
-        // Re-stamp only when post_shade actually wrote frame bytes (the
-        // copy-path result apply, MAC rewrites, reassembly). In-place
-        // results were stamped by the master at their mutation site, and
-        // verdict-only post-shaders leave the frames — and therefore the
-        // stamp — untouched.
-        if (job->frames_dirty) integrity_->stamp_chunk(job->chunk);
-      }
+      stages::run_post_shade(shader_, integrity_, *job);
       if (tracer_ != nullptr) tracer_->stamp(job->trace_slot, telemetry::Stage::kScatter);
       stage_finish(worker, job);
       // pslint: allow(steady-state-growth) -- 'finished' aliases
@@ -438,10 +386,9 @@ void Router::worker_loop(WorkerRuntime& worker) {
 }
 
 void Router::cpu_fallback_batch(NodeRuntime& node, std::span<ShaderJob* const> batch) {
-  for (ShaderJob* job : batch) {
-    shader_.shade_cpu(*job);
-    job->shaded_on_cpu = true;
-    if (tracer_ != nullptr) tracer_->mark_cpu_path(job->trace_slot);
+  stages::shade_on_cpu(shader_, batch);
+  if (tracer_ != nullptr) {
+    for (ShaderJob* job : batch) tracer_->mark_cpu_path(job->trace_slot);
   }
   MutexLock lock(node.health_mu);
   node.health.cpu_fallback_chunks += batch.size();
@@ -456,15 +403,7 @@ void Router::shade_batch(NodeRuntime& node, std::span<ShaderJob* const> batch) {
     MutexLock lock(node.health_mu);
     ++node.health.batches;
   }
-  if (integrity_ != nullptr) {
-    // Gather boundary: the chunks just crossed the worker->master queue.
-    // A mismatch is counted (localized) here; the owning worker drops the
-    // flagged packets at the scatter boundary — the master never touches
-    // verdicts.
-    for (ShaderJob* job : batch) {
-      integrity_->verify_chunk(job->chunk, integrity::Stage::kGather);
-    }
-  }
+  stages::check_gather(integrity_, batch);
 
   // Unhealthy device: shade on the CPU, but probe periodically so the GPU
   // is re-admitted once it recovers.
@@ -510,7 +449,12 @@ void Router::shade_batch(NodeRuntime& node, std::span<ShaderJob* const> batch) {
     const ShadeOutcome outcome = shader_.shade(node.gpu, batch);
     if (outcome.ok()) {
       node.consecutive_failures = 0;
-      if (integrity_ != nullptr) shadow_verify_batch(node, batch);
+      // Repeated shadow mismatches trip the device into the same CPU-only
+      // fallback as failures do; probes re-admit it as usual.
+      if (integrity_ != nullptr && node.shadow.verify_batch(shader_, *integrity_, batch)) {
+        MutexLock lock(node.health_mu);
+        trip_unhealthy(node);
+      }
       return;
     }
   }
@@ -521,114 +465,16 @@ void Router::shade_batch(NodeRuntime& node, std::span<ShaderJob* const> batch) {
   {
     MutexLock lock(node.health_mu);
     ++node.health.failed_batches;
-    if (node.health.healthy && node.consecutive_failures >= config_.gpu_fail_threshold) {
-      node.health.healthy = false;
-      ++node.health.trips;
-      node.batches_since_probe = 0;
-    }
+    if (node.consecutive_failures >= config_.gpu_fail_threshold) trip_unhealthy(node);
   }
   cpu_fallback_batch(node, batch);
 }
 
-u32 Router::drop_integrity_bad(ShaderJob& job) {
-  u32 dropped = 0;
-  for (u32 i = 0; i < job.chunk.count(); ++i) {
-    if (!job.chunk.integrity_bad(i)) continue;
-    if (job.chunk.verdict(i) == iengine::PacketVerdict::kDrop) continue;
-    job.chunk.set_drop(i, iengine::DropReason::kIntegrityFail);
-    ++dropped;
-  }
-  if (dropped != 0) integrity_->count_quarantined(dropped);
-  return dropped;
-}
-
-void Router::shadow_verify_batch(NodeRuntime& node, std::span<ShaderJob* const> batch) {
-  const u64 seq = node.shadow_batch_seq++;
-  const bool escalated = node.shadow_escalated_remaining > 0;
-  if (escalated && --node.shadow_escalated_remaining == 0) {
-    // Escalation window expired without tripping: the strikes age out.
-    node.shadow_strikes = 0;
-  }
-  if (!integrity_->should_shadow_verify(seq, escalated)) return;
-
-  bool any_mismatch = false;
-  for (ShaderJob* job : batch) {
-    if (job->applied_in_place) {
-      // In-place scatter: the device's results live in the packet frames,
-      // not gpu_output. Recompute the canonical result layout on the CPU
-      // from the untouched gathered input, then compare span-by-span
-      // (each span's out_off addresses the same bytes in the canonical
-      // layout its frame region holds). A mismatched span is repaired in
-      // place from the CPU ground truth, so — exactly like the copy-path
-      // quarantine — the CPU result ships and the corrupt one never
-      // reaches the wire.
-      integrity_->count_shadow_batch();
-      shader_.shade_cpu(*job);
-      u64 bad_items = 0;
-      i64 last_bad_packet = -1;  // plan is packet-ordered (pre_shade fills per packet)
-      for (const auto& span : job->scatter_plan) {
-        auto frame = job->chunk.packet(span.packet);
-        u8* frame_bytes = frame.data() + span.frame_off;
-        const u8* truth = job->gpu_output.data() + span.out_off;
-        if (std::memcmp(frame_bytes, truth, span.len) == 0) continue;
-        std::memcpy(frame_bytes, truth, span.len);
-        if (static_cast<i64>(span.packet) != last_bad_packet) {
-          ++bad_items;
-          last_bad_packet = static_cast<i64>(span.packet);
-        }
-      }
-      if (bad_items == 0) continue;
-      any_mismatch = true;
-      integrity_->count_shadow_mismatch(bad_items);
-      integrity_->count_reshaded_batch();
-      job->shaded_on_cpu = true;  // scatter re-attributes gpu->cpu stats
-      continue;
-    }
-    if (job->gpu_output.empty()) continue;  // composed jobs verify via sub-chunk byte checks
-    integrity_->count_shadow_batch();
-    // Stash the device's results, recompute them on the CPU from the same
-    // gathered inputs (differential tests pin the two byte-identical),
-    // and compare. shade_cpu writes job->gpu_output, so after a mismatch
-    // the job already carries the CPU ground truth — the quarantine's
-    // one-time re-shade has effectively happened.
-    node.shadow_scratch.assign(job->gpu_output.begin(), job->gpu_output.end());
-    shader_.shade_cpu(*job);
-    if (node.shadow_scratch == job->gpu_output) continue;
-
-    any_mismatch = true;
-    u64 bad_items = 0;
-    const std::size_t items = std::max<u32>(job->gpu_items, 1);
-    const std::size_t stride = job->gpu_output.size() / items;
-    if (stride == 0 || job->gpu_output.size() % items != 0) {
-      bad_items = 1;  // no per-item framing: localize to "this batch"
-    } else {
-      for (std::size_t i = 0; i < items; ++i) {
-        if (std::memcmp(node.shadow_scratch.data() + i * stride,
-                        job->gpu_output.data() + i * stride, stride) != 0) {
-          ++bad_items;
-        }
-      }
-    }
-    integrity_->count_shadow_mismatch(bad_items);
-    integrity_->count_reshaded_batch();
-    job->shaded_on_cpu = true;  // scatter re-attributes gpu->cpu stats
-  }
-  if (!any_mismatch) return;
-
-  // Mismatch: distrust the device more. Escalate to verifying every batch;
-  // strikes within one escalation window trip the device into the
-  // gpu_health CPU-only fallback (probes re-admit it as usual).
-  node.shadow_escalated_remaining = integrity_->config().shadow_escalate_batches;
-  if (++node.shadow_strikes >= integrity_->config().shadow_trip_threshold) {
-    node.shadow_strikes = 0;
-    integrity_->count_device_suspect();
-    MutexLock lock(node.health_mu);
-    if (node.health.healthy) {
-      node.health.healthy = false;
-      ++node.health.trips;
-      node.batches_since_probe = 0;
-    }
-  }
+void Router::trip_unhealthy(NodeRuntime& node) {
+  if (!node.health.healthy) return;
+  node.health.healthy = false;
+  ++node.health.trips;
+  node.batches_since_probe = 0;
 }
 
 void Router::master_loop(int node_id) {
@@ -668,19 +514,7 @@ void Router::master_loop(int node_id) {
     node.trace_batch = {};
     hb.advance(n);
 
-    if (integrity_ != nullptr) {
-      // In-place scatter moves the result-apply mutation site from the
-      // worker's post_shade to the device's D2H (or, on fallback, leaves
-      // partial D2H garbage the copy path will overwrite). Either way the
-      // frames changed after the gather stamp, and this — after shade and
-      // shadow verification — is the new sanctioned point to re-certify
-      // them; corruption past here is caught at the scatter boundary.
-      for (ShaderJob* job : batch) {
-        if (!job->scatter_plan.empty() && job->chunk.stamped()) {
-          integrity_->stamp_chunk(job->chunk);
-        }
-      }
-    }
+    stages::restamp_in_place(integrity_, {batch.data(), batch.size()});
 
     // Scatter: return each chunk to the worker it came from. Capacity is
     // sized so a worker's in-flight jobs always fit its output ring. The

@@ -43,6 +43,7 @@
 #include "common/thread_annotations.hpp"
 #include "common/spsc_ring.hpp"
 #include "core/shader.hpp"
+#include "core/stages.hpp"
 #include "fault/fault_injector.hpp"
 #include "gpu/device.hpp"
 #include "iengine/engine.hpp"
@@ -282,15 +283,7 @@ class Router {
     GpuHealthStats health GUARDED_BY(health_mu);
     u32 consecutive_failures = 0;     // master-thread only
     u32 batches_since_probe = 0;      // master-thread only
-
-    // Shadow-verification state (master-thread only). `shadow_scratch`
-    // stashes the device's results while the CPU re-shade recomputes them
-    // — reserved once in the Router constructor so the steady state stays
-    // allocation-free.
-    u64 shadow_batch_seq = 0;          // successful GPU batches, for sampling
-    u32 shadow_escalated_remaining = 0;  // batches left in the escalation window
-    u32 shadow_strikes = 0;            // mismatched batches in this window
-    std::vector<u8> shadow_scratch;
+    stages::ShadowVerifier shadow;    // master-thread only
   };
 
   /// Internal form of WorkerStats: single-writer relaxed atomics. Each
@@ -405,16 +398,8 @@ class Router {
   /// recovery, and fall back to shade_cpu so no batch is ever lost.
   void shade_batch(NodeRuntime& node, std::span<ShaderJob* const> batch);
   void cpu_fallback_batch(NodeRuntime& node, std::span<ShaderJob* const> batch);
-  /// Shadow-verify a successfully GPU-shaded batch (sampled 1-in-N, every
-  /// batch while escalated): stash the device's gpu_output, recompute it
-  /// via shade_cpu, compare. Mismatch = the GPU result is quarantined (the
-  /// CPU one ships instead), sampling escalates, and repeated strikes trip
-  /// the device to unhealthy. Master thread only.
-  void shadow_verify_batch(NodeRuntime& node, std::span<ShaderJob* const> batch);
-  /// Drop (kIntegrityFail) every packet the integrity layer flagged bad
-  /// and not already dropped; returns how many. Runs on the worker that
-  /// owns the job (verdict writes stay single-owner).
-  u32 drop_integrity_bad(ShaderJob& job);
+  /// Healthy -> unhealthy transition (no-op when already unhealthy).
+  void trip_unhealthy(NodeRuntime& node) REQUIRES(node.health_mu);
   ShaderJob* acquire_job(WorkerRuntime& worker);
   void release_job(WorkerRuntime& worker, ShaderJob* job);
   /// Everything finish used to do up to (and including) queueing the

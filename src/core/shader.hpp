@@ -42,8 +42,7 @@ struct ShaderJob {
   /// dropped packets never reach the device).
   std::vector<u32> gpu_index;
 
-  int worker_id = 0;      // owner worker (for the scatter step)
-  Picos enqueue_time = 0; // latency accounting (model time)
+  int worker_id = 0;  // owner worker (for the scatter step)
   /// Pipeline-tracer ring slot for this chunk's span (-1 = untraced).
   i32 trace_slot = -1;
   /// Set when the master (or a backpressured worker) computed gpu_output
@@ -140,7 +139,6 @@ struct ShaderJob {
     scratch_u64.clear();
     scatter_plan.clear();
     gpu_items = 0;
-    enqueue_time = 0;
     trace_slot = -1;
     shaded_on_cpu = false;
     applied_in_place = false;

@@ -25,8 +25,9 @@
 //     compares outputs. A mismatch quarantines the GPU result, adopts the
 //     CPU one, escalates sampling to every batch, and — past a strike
 //     threshold — trips the device into the PR 1 gpu_health CPU-only
-//     fallback. The state machine itself lives in the Router (it owns the
-//     per-node health); this class owns the sampling decision + counters.
+//     fallback. The state machine lives in core::stages::ShadowVerifier
+//     (the Router applies its trip to the per-node health); this class
+//     owns the sampling decision + counters.
 //
 //  3. *Quarantine & re-shade.* A corrupted chunk is never TX'd: packets
 //     whose bytes fail a boundary check are dropped with

@@ -3,8 +3,10 @@
 // committed expected pcap. Any mismatch is a real behaviour change —
 // either a regression, or an intentional change that must be re-blessed
 // with scripts/regen_goldens.sh (which also refreshes the checksum
-// manifest). These tests carry the ctest label "replay" (the CI
-// replay-gate job) on top of tier-1.
+// manifest). The goldens come from the deterministic ModelDriver; the
+// ThreadedRouterGolden tests replay the same corpus through the threaded
+// core::Router, which runs the same core/stages functions. These tests
+// carry the ctest label "replay" (the CI replay-gate job) on top of tier-1.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +15,7 @@
 
 #include "cap/expect.hpp"
 #include "cap/golden.hpp"
+#include "crypto/esp.hpp"
 #include "gen/pcap.hpp"
 
 #ifndef PS_TEST_DATA_DIR
@@ -42,7 +45,7 @@ std::string diff_path_for(Corpus corpus) {
   return std::string("expect_diffs/") + corpus_name(corpus) + ".actual.pcap";
 }
 
-void expect_corpus_matches_golden(Corpus corpus) {
+void expect_corpus_matches_golden(Corpus corpus, Scheduler scheduler = Scheduler::kModel) {
   const std::string input = corpus_input_path(PS_TEST_DATA_DIR, corpus);
   const std::string golden = corpus_golden_path(PS_TEST_DATA_DIR, corpus);
   ASSERT_TRUE(std::filesystem::exists(input))
@@ -50,7 +53,7 @@ void expect_corpus_matches_golden(Corpus corpus) {
   ASSERT_TRUE(std::filesystem::exists(golden))
       << "missing golden capture " << golden << "; " << kRegenHint;
 
-  const FrameList actual = route_corpus(corpus, input);
+  const FrameList actual = route_corpus(corpus, input, scheduler);
   EXPECT_EQ(actual.size(), corpus_frame_count(corpus))
       << corpus_name(corpus) << ": router did not forward every corpus frame";
 
@@ -69,6 +72,46 @@ TEST(ExpectGolden, Ipv6ReplaysByteIdentical) {
 
 TEST(ExpectGolden, IpsecReplaysByteIdentical) {
   expect_corpus_matches_golden(Corpus::kIpsec);
+}
+
+TEST(ThreadedRouterGolden, Ipv4ImixReplaysByteIdentical) {
+  expect_corpus_matches_golden(Corpus::kIpv4Imix, Scheduler::kThreaded);
+}
+
+TEST(ThreadedRouterGolden, Ipv6ReplaysByteIdentical) {
+  expect_corpus_matches_golden(Corpus::kIpv6, Scheduler::kThreaded);
+}
+
+/// Decapsulate every frame with the corpus SA (ICV verified) and return
+/// the inner frames in canonical order.
+FrameList decapsulated(const FrameList& frames) {
+  FrameList inner;
+  auto sa = corpus_ipsec_sa();
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    // Canonical order is not sequence order: reset the anti-replay window.
+    sa.replay_high = 0;
+    sa.replay_window = 0;
+    std::vector<u8> out;
+    EXPECT_EQ(crypto::esp_decapsulate(sa, frames[i], out), crypto::EspError::kOk) << "frame " << i;
+    inner.push_back(std::move(out));
+  }
+  return canonicalize(std::move(inner));
+}
+
+TEST(ThreadedRouterGolden, IpsecCarriesTheGoldenInnerFrames) {
+  // ESP sequence numbers (and so IVs and ICVs) follow the order in which
+  // the workers meet the packets, which threads make nondeterministic; the
+  // inner packets they carry are not.
+  const std::string input = corpus_input_path(PS_TEST_DATA_DIR, Corpus::kIpsec);
+  const FrameList expected = gen::read_pcap(corpus_golden_path(PS_TEST_DATA_DIR, Corpus::kIpsec));
+  ASSERT_EQ(expected.size(), corpus_frame_count(Corpus::kIpsec)) << kRegenHint;
+
+  const FrameList actual = route_corpus(Corpus::kIpsec, input, Scheduler::kThreaded);
+  ASSERT_EQ(actual.size(), expected.size());
+  const FrameList actual_inner = decapsulated(actual);
+  const FrameList expected_inner = decapsulated(expected);
+  EXPECT_TRUE(actual_inner == expected_inner)
+      << "threaded IPsec TX decapsulates to different inner frames than the golden";
 }
 
 TEST(ExpectGolden, CorpusInputsRegenerateByteIdentical) {

@@ -1,5 +1,5 @@
-// SPSC ring and MPSC queue: capacity/FIFO invariants plus cross-thread
-// stress.
+// SPSC ring, fan-in and wake signal: capacity/FIFO invariants plus
+// cross-thread stress.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/mpsc_queue.hpp"
 #include "common/spsc_ring.hpp"
 
 namespace ps {
@@ -73,151 +72,6 @@ TEST(SpscRing, CrossThreadStress) {
   }
   producer.join();
   EXPECT_TRUE(ring.empty());
-}
-
-TEST(MpscQueue, FifoAndBlockingPop) {
-  MpscQueue<int> q(4);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(MpscQueue, TryPushRespectsCapacity) {
-  MpscQueue<int> q(2);
-  EXPECT_TRUE(q.try_push(1));
-  EXPECT_TRUE(q.try_push(2));
-  EXPECT_FALSE(q.try_push(3));
-}
-
-TEST(MpscQueue, CloseUnblocksConsumer) {
-  MpscQueue<int> q(4);
-  std::thread consumer([&] {
-    EXPECT_FALSE(q.pop().has_value());  // wakes on close with empty queue
-  });
-  q.close();
-  consumer.join();
-}
-
-TEST(MpscQueue, CloseDrainsRemainingItems) {
-  MpscQueue<int> q(4);
-  q.try_push(7);
-  q.close();
-  EXPECT_EQ(q.pop(), 7);  // drained even after close
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(MpscQueue, PopBatchWaitGathersPending) {
-  MpscQueue<int> q(16);
-  for (int i = 0; i < 6; ++i) q.try_push(i);
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_batch_wait(out, 4), 4u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-  out.clear();
-  EXPECT_EQ(q.pop_batch_wait(out, 10), 2u);
-}
-
-TEST(MpscQueue, MultipleProducersAllDelivered) {
-  MpscQueue<u64> q(128);
-  constexpr int kProducers = 4;
-  constexpr u64 kPerProducer = 20'000;
-
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, p] {
-      for (u64 i = 0; i < kPerProducer; ++i) {
-        ASSERT_TRUE(q.push(static_cast<u64>(p) * kPerProducer + i));
-      }
-    });
-  }
-
-  u64 received = 0;
-  u64 sum = 0;
-  while (received < kProducers * kPerProducer) {
-    if (auto v = q.try_pop()) {
-      sum += *v;
-      ++received;
-    }
-  }
-  for (auto& t : producers) t.join();
-
-  const u64 n = kProducers * kPerProducer;
-  EXPECT_EQ(sum, n * (n - 1) / 2);  // every value exactly once
-}
-
-TEST(MpscQueue, CloseUnblocksProducerStuckOnFullQueue) {
-  // A worker blocked in push() against a full master queue must not
-  // deadlock shutdown: close() wakes it and the push reports failure so
-  // the caller can fall back (the router re-shades the chunk on the CPU).
-  MpscQueue<int> q(2);
-  ASSERT_TRUE(q.try_push(1));
-  ASSERT_TRUE(q.try_push(2));
-
-  std::atomic<int> result{-1};
-  std::thread producer([&] { result.store(q.push(3) ? 1 : 0); });
-  // Whether the producer is already parked on not_full_ or not, the queue
-  // stays full, so the push can only be refused — close() resolves it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  q.close();
-  producer.join();
-  EXPECT_EQ(result.load(), 0);  // woken by close, push refused
-
-  // Items already queued still drain after close; nothing is lost.
-  EXPECT_EQ(q.pop(), 1);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(MpscQueue, PushAndTryPushRefusedAfterClose) {
-  MpscQueue<int> q(4);
-  q.close();
-  EXPECT_FALSE(q.push(1));
-  EXPECT_FALSE(q.try_push(2));
-  EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(MpscQueue, ConcurrentProducersDuringClose) {
-  // Producers hammering the queue while the consumer closes it: every
-  // value is either refused (push returned false) or delivered exactly
-  // once — never both, never lost.
-  constexpr int kProducers = 4;
-  constexpr u64 kPerProducer = 5'000;
-  MpscQueue<u64> q(32);
-
-  std::atomic<u64> accepted{0};
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&q, &accepted, p] {
-      for (u64 i = 0; i < kPerProducer; ++i) {
-        // Blocking push: waits for space until close() refuses it.
-        if (q.push(static_cast<u64>(p) * kPerProducer + i)) {
-          accepted.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-
-  u64 drained = 0;
-  while (drained < 1'000) {
-    if (q.try_pop()) ++drained;
-  }
-  q.close();  // producers keep pushing against the closed queue
-  for (auto& t : producers) t.join();
-  while (q.try_pop()) ++drained;  // post-close drain
-
-  EXPECT_EQ(drained, accepted.load());  // accepted == delivered, exactly
-  EXPECT_FALSE(q.try_pop().has_value());
-}
-
-TEST(MpscQueue, PopBatchWaitWakesOnCloseWithZero) {
-  MpscQueue<int> q(4);
-  std::vector<int> out;
-  std::thread consumer([&] { EXPECT_EQ(q.pop_batch_wait(out, 8), 0u); });
-  q.close();
-  consumer.join();
-  EXPECT_TRUE(out.empty());
 }
 
 TEST(SpscRing, FullRingRejectsWithoutClobbering) {
@@ -324,7 +178,7 @@ TEST(SpscFanIn, RoundRobinSweepDrainsEveryLane) {
 }
 
 TEST(SpscFanIn, NoGlobalFifoAcrossProducers) {
-  // The documented weakening vs MpscQueue: an item pushed by producer 1
+  // The documented weakening vs a global FIFO: an item pushed by producer 1
   // before an item from producer 0 may still be delivered after it when
   // the cursor reaches lane 0 first. Callers own cross-producer ordering.
   SpscFanIn<int> q(2, 8);
@@ -491,27 +345,6 @@ TEST(WakeSignal, CrossThreadParkAndWake) {
   published.store(true, std::memory_order_relaxed);
   w.notify();
   consumer.join();
-}
-
-TEST(MpscQueue, PerProducerOrderPreserved) {
-  // The master input queue must preserve each worker's chunk order.
-  MpscQueue<std::pair<int, u64>> q(64);
-  constexpr u64 kPerProducer = 5000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&q, p] {
-      for (u64 i = 0; i < kPerProducer; ++i) ASSERT_TRUE(q.push({p, i}));
-    });
-  }
-  u64 next_seq[3] = {};
-  u64 received = 0;
-  while (received < 3 * kPerProducer) {
-    if (auto v = q.try_pop()) {
-      EXPECT_EQ(v->second, next_seq[v->first]++);
-      ++received;
-    }
-  }
-  for (auto& t : producers) t.join();
 }
 
 }  // namespace

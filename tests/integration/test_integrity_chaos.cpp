@@ -22,6 +22,7 @@
 #include "apps/dynamic_ipv4.hpp"
 #include "apps/ipsec_gateway.hpp"
 #include "apps/ipv4_forward.hpp"
+#include "core/model_driver.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_injector.hpp"
@@ -226,6 +227,47 @@ TEST(IntegrityChaos, ShadowSamplingEscalatesAndTripsSickDevice) {
   EXPECT_EQ(stats.packets_in, accepted);
   EXPECT_EQ(stats.packets_out + stats.dropped() + stats.slow_path, stats.packets_in);
   EXPECT_EQ(stats.dropped(), 0u);  // repairs and misdeliveries, never drops
+}
+
+TEST(IntegrityChaos, ModelDriverShadowSamplingEscalatesToo) {
+  // The deterministic scheduler runs the same ShadowVerifier as the
+  // Router. 32 consecutive output copies are corrupted (one per job, up to
+  // 4 jobs per batch); 1-in-4 sampling alone sees only about a quarter of
+  // those batches. The first sampled mismatch escalates to every batch, so
+  // the rest are caught too and the strikes count the device suspect. The
+  // ModelDriver has no health fallback, so the device keeps shading. The
+  // run is deterministic: the first corrupted batch is a sampled one, so
+  // every corrupted job is caught.
+  const auto table = corruption_sensitive_table();
+  apps::Ipv4ForwardApp app(table);
+
+  core::RouterConfig config;
+  config.use_gpu = true;
+  config.chunk_capacity = 64;
+  config.gather_max = 4;
+  core::Testbed testbed(
+      {.topo = pcie::Topology::single_node(), .use_gpu = true, .ring_size = 4096}, config);
+  gen::TrafficGen traffic(
+      {.frame_size = 64, .seed = 82, .ipv4_dst_pool = {net::Ipv4Addr(10, 0, 0, 1).value}});
+  testbed.connect_sink(&traffic);
+
+  fault::FaultInjector inj(/*seed=*/19);
+  inj.add_rule({.point = std::string(fault::Point::kPcieD2hCorrupt), .after = 100, .count = 32});
+  testbed.set_fault_injector(&inj);
+  integrity::IntegrityChecker checker({.shadow_sample_every = 4,
+                                       .shadow_escalate_batches = 64,
+                                       .shadow_trip_threshold = 3});
+
+  core::ModelDriver driver(testbed, &app, config);
+  driver.set_integrity(&checker);
+  const core::ModelResult result = driver.run(traffic, 100'000);
+
+  ASSERT_EQ(inj.stats(fault::Point::kPcieD2hCorrupt).fired, 32u);
+  EXPECT_EQ(checker.shadow_mismatch_batches(), 32u);  // counted per job  // >= 5 batches of 4 jobs
+  EXPECT_LE(checker.corrupt_at(Stage::kShadow), 32u);
+  EXPECT_GE(checker.devices_tripped(), 1u);
+  EXPECT_EQ(result.forwarded, result.accepted);
+  EXPECT_EQ(result.dropped, 0u);  // repairs and misdeliveries, never drops
 }
 
 TEST(IntegrityChaos, CorruptionUnderFibChurnStaysExact) {

@@ -24,3 +24,7 @@ void worker_loop(Worker& w) {
 void finish_job(Worker& w) {
   w.scratch.emplace_back(3);  // FIRES: the allow above is site-specific
 }
+
+void run_post_shade(Worker& w) {
+  w.staging.push_back(4);  // FIRES: stage functions are steady state too
+}

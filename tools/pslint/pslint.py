@@ -380,13 +380,19 @@ def check_hot_sleep(sf, findings):
 
 # Directories whose steady-state loops must not grow containers, and the
 # function names that ARE the steady state: the per-chunk/per-packet
-# loops that run for every batch once the pipeline is warm. Setup code
-# (build(), constructors, start()) is free to grow whatever it likes.
+# loops that run for every batch once the pipeline is warm, including the
+# core/stages functions both schedulers call. Setup code (build(),
+# constructors, start()) is free to grow whatever it likes.
 STEADY_DIRS = ("core", "iengine", "route")
+STAGE_FNS = (
+    "drop_integrity_bad|admit_rx|process_inline|run_pre_shade|check_gather|"
+    "shade_on_cpu|verify_batch|restamp_in_place|check_scatter|"
+    "run_post_shade|check_tx"
+)
 STEADY_FNS = (
     "worker_loop|master_loop|recv_and_dispatch|finish_job|process_cpu_only|"
     "shade_batch|cpu_fallback_batch|recv_chunk|recv_from_queue|send_chunk|"
-    "lookup_batch|lookup"
+    "lookup_batch|lookup|" + STAGE_FNS
 )
 STEADY_FN_RE = re.compile(r"\b(%s)\s*\(" % STEADY_FNS)
 GROWTH_METHODS = "push_back|emplace_back|resize|insert|emplace"
@@ -499,11 +505,12 @@ def check_read_path_lock(sf, findings):
 
 # The hand-off path: the SPSC fan-in header in full (its WakeSignal slow
 # path carries per-site allow comments), plus the router loops that move
-# jobs across the worker<->master boundary. stage_finish()/shade_batch()
-# may take their own (host-stack, GPU-health) locks — those guard other
-# subsystems, not the hand-off — so only the loop bodies are scanned.
+# jobs across the worker<->master boundary, and the core/stages functions
+# they call. stage_finish()/shade_batch() may take their own (host-stack,
+# GPU-health) locks — those guard other subsystems, not the hand-off — so
+# only the loop and stage bodies are scanned.
 HANDOFF_FILE = "common/spsc_ring.hpp"
-HANDOFF_FNS = "worker_loop|drain_scatter|recv_and_dispatch|master_loop"
+HANDOFF_FNS = "worker_loop|drain_scatter|recv_and_dispatch|master_loop|" + STAGE_FNS
 HANDOFF_FN_RE = re.compile(r"\b(%s)\s*\(" % HANDOFF_FNS)
 
 
