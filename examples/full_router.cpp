@@ -2,7 +2,7 @@
 // GPU offload, and a slow-path host stack — the section 7 extensions
 // working together on the real threaded runtime.
 //
-//  - IPv4 via DynamicIpv4ForwardApp (routes come from an Ipv4Fib; we
+//  - IPv4 via Ipv4ForwardApp (routes come from an Ipv4Fib; we
 //    re-route mid-run and the change takes effect without stopping);
 //  - IPv6 via Ipv6ForwardApp, composed with MultiProtocolApp;
 //  - TTL-expired packets answered with real ICMP Time Exceeded replies;
@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <thread>
 
-#include "apps/dynamic_ipv4.hpp"
+#include "apps/ipv4_forward.hpp"
 #include "apps/ipv6_forward.hpp"
 #include "apps/multi_app.hpp"
 #include "core/router.hpp"
@@ -33,7 +33,7 @@ int main() {
   route::Ipv4Fib fib;
   fib.announce({net::Ipv4Addr(0), 0, 1});  // default -> port 1
   fib.commit();
-  apps::DynamicIpv4ForwardApp v4(fib);
+  apps::Ipv4ForwardApp v4(fib);
 
   // Static IPv6 table.
   const auto rib6 = route::generate_ipv6_rib(20'000, 8, 123);

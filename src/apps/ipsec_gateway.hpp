@@ -25,6 +25,9 @@ class IpsecGatewayApp final : public core::Shader {
   /// ingress port's partner (port 0 <-> 1, 2 <-> 3, ...). `sa` must
   /// outlive the app; its cipher must be expanded (SaDatabase::add does).
   explicit IpsecGatewayApp(const crypto::SecurityAssociation& sa);
+  /// The app keeps a reference (the SA's sequence counter stays shared
+  /// with the SADB); a temporary SA would dangle.
+  explicit IpsecGatewayApp(const crypto::SecurityAssociation&&) = delete;
 
   const char* name() const override { return "ipsec-gateway"; }
   void bind_gpu(gpu::GpuDevice& device) override;

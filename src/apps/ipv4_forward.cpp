@@ -1,38 +1,16 @@
 #include "apps/ipv4_forward.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <cstring>
 
 #include "apps/classify.hpp"
 #include "net/checksum.hpp"
-#include "perf/calibration.hpp"
-#include "perf/ledger.hpp"
 
 namespace ps::apps {
 
-Ipv4ForwardApp::Ipv4ForwardApp(const route::Ipv4Table& table) : table_(table) {}
+namespace {
 
-void Ipv4ForwardApp::bind_gpu(gpu::GpuDevice& device) {
-  if (gpu_state_.contains(device.gpu_id())) return;
-  GpuState st;
-  const auto tbl24 = table_.tbl24();
-  const auto tbl_long = table_.tbl_long();
-
-  st.tbl24 = device.alloc(tbl24.size_bytes());
-  device.memcpy_h2d(st.tbl24, 0, {reinterpret_cast<const u8*>(tbl24.data()), tbl24.size_bytes()});
-  // Every table has at least a placeholder overflow chunk so the kernel's
-  // pointer is always valid.
-  st.tbl_long = device.alloc(std::max<std::size_t>(tbl_long.size_bytes(), 2 * route::Ipv4Table::kChunk));
-  if (!tbl_long.empty()) {
-    device.memcpy_h2d(st.tbl_long, 0,
-                      {reinterpret_cast<const u8*>(tbl_long.data()), tbl_long.size_bytes()});
-  }
-  st.input = device.alloc(kMaxBatchItems * sizeof(u32));
-  st.output = device.alloc(kMaxBatchItems * sizeof(u16));
-  gpu_state_.emplace(device.gpu_id(), std::move(st));
-}
-
-bool Ipv4ForwardApp::classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
+bool classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
   net::PacketView view;
   if (classify_l3(chunk, i, net::EtherType::kIpv4, view) != FastPathClass::kEligible) {
     return false;
@@ -41,9 +19,43 @@ bool Ipv4ForwardApp::classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
   return true;
 }
 
+}  // namespace
+
+Ipv4ForwardApp::Ipv4ForwardApp(const route::Ipv4Table& table) : table_(&table) {}
+
+Ipv4ForwardApp::Ipv4ForwardApp(route::Ipv4Fib& fib) : fib_(&fib) {}
+
+route::Ipv4Fib::ReadGuard Ipv4ForwardApp::read() const {
+  // A fixed table never changes, so it needs no epoch pin.
+  return fib_ != nullptr ? fib_->read() : route::Ipv4Fib::ReadGuard(epoch::Guard{}, table_);
+}
+
+void Ipv4ForwardApp::upload(lpm::GpuState<TableCopy>& st, int slot,
+                            const route::Ipv4Table& table) {
+  auto& copy = st.copies[slot];
+  const auto tbl24 = table.tbl24();
+  const auto tbl_long = table.tbl_long();
+  assert(tbl_long.size() / route::Ipv4Table::kChunk <= kMaxOverflowChunks);
+  lpm::reserve(st, copy.tbl24, tbl24.size_bytes(), tbl24.size_bytes());
+  lpm::copy_in(*st.device, copy.tbl24, tbl24);
+  // Every copy has at least a placeholder overflow chunk so the kernel's
+  // pointer is always valid.
+  lpm::reserve(st, copy.tbl_long,
+               std::max<std::size_t>(tbl_long.size_bytes(), 2 * route::Ipv4Table::kChunk),
+               std::size_t{kMaxOverflowChunks} * route::Ipv4Table::kChunk * sizeof(u16));
+  lpm::copy_in(*st.device, copy.tbl_long, tbl_long);
+}
+
+void Ipv4ForwardApp::bind_gpu(gpu::GpuDevice& device) {
+  lpm::bind(gpu_state_, device, sizeof(u32), fib_, table_, &Ipv4ForwardApp::upload);
+}
+
+int Ipv4ForwardApp::sync() {
+  return fib_ != nullptr ? lpm::sync(gpu_state_, *fib_, &Ipv4ForwardApp::upload) : 0;
+}
+
 void Ipv4ForwardApp::pre_shade(core::ShaderJob& job) {
   auto& chunk = job.chunk;
-  job.gpu_input.reserve(chunk.count() * sizeof(u32));
   for (u32 i = 0; i < chunk.count(); ++i) {
     perf::charge_cpu_cycles(perf::kPreShadingCyclesPerPacket);
     if (!classify_and_rewrite(chunk, i)) continue;
@@ -58,161 +70,72 @@ void Ipv4ForwardApp::pre_shade(core::ShaderJob& job) {
 core::ShadeOutcome Ipv4ForwardApp::shade(core::GpuContext& gpu,
                                          std::span<core::ShaderJob* const> jobs,
                                          Picos submit_time) {
-  auto& st = gpu_state_.at(gpu.device->gpu_id());
-
-  if (gpu.streams.size() <= 1) {
-    // Gathered mode: pipeline all input copies, one kernel launch over the
-    // whole batch, then scatter the output copies (Figure 10(b)).
-    u32 total = 0;
-    for (std::size_t j = 0; j < jobs.size(); ++j) {
-      auto* job = jobs[j];
-      if (job->gpu_items == 0) continue;
-      assert(total + job->gpu_items <= kMaxBatchItems);
-      const auto h2d = gpu.device->memcpy_h2d(st.input, total * sizeof(u32), job->gpu_input,
-                                              gpu::kDefaultStream, submit_time);
-      if (!h2d.ok()) return {h2d.status, h2d.end};
-      total += job->gpu_items;
-    }
-    if (total == 0) return {gpu::GpuStatus::kOk, submit_time};
-
-    const u16* tbl24 = st.tbl24.as<const u16>();
-    const u16* tbl_long = st.tbl_long.as<const u16>();
-    const u32* in = st.input.as<const u32>();
-    u16* out = st.output.as<u16>();
-
-    gpu::KernelLaunch kernel{
+  auto& st = *gpu_state_.at(gpu.device->gpu_id());
+  const auto& copy = st.copies[st.active.load(std::memory_order_acquire)];
+  const struct {
+    const u16* tbl24;
+    const u16* tbl_long;
+    const u32* in;
+    u16* out;
+  } args{copy.tbl24.as<const u16>(), copy.tbl_long.as<const u16>(), st.input.as<const u32>(),
+         st.output.as<u16>()};
+  return lpm::shade(gpu, jobs, submit_time, st, sizeof(u32), [&args](u32 first, u32 count) {
+    return gpu::KernelLaunch{
         .name = "ipv4_lookup",
-        .threads = total,
+        .threads = count,
         .body =
-            [=](gpu::ThreadCtx& ctx) {
-              const u32 tid = ctx.thread_id();
-              out[tid] = route::Ipv4Table::lookup_in_arrays(tbl24, tbl_long, in[tid]);
+            [a = &args, first](gpu::ThreadCtx& ctx) {
+              const u32 k = first + ctx.thread_id();
+              a->out[k] = route::Ipv4Table::lookup_in_arrays(a->tbl24, a->tbl_long, a->in[k]);
             },
         // One table probe for ~97% of packets, two for prefixes >/24.
         .cost = {.instructions = perf::kGpuIpv4LookupInstr, .mem_accesses = 1.05},
     };
-    const auto k = gpu.device->launch(kernel, gpu::kDefaultStream, submit_time);
-    if (!k.ok()) return {k.status, k.end};
-
-    u32 offset = 0;
-    Picos done = submit_time;
-    for (auto* job : jobs) {
-      if (job->gpu_items == 0) continue;
-      job->gpu_output.resize(job->gpu_items * sizeof(u16));
-      const auto timing = gpu.device->memcpy_d2h(job->gpu_output, st.output,
-                                                 offset * sizeof(u16), gpu::kDefaultStream,
-                                                 submit_time);
-      if (!timing.ok()) return {timing.status, timing.end};
-      done = std::max(done, timing.end);
-      offset += job->gpu_items;
-    }
-    return {gpu::GpuStatus::kOk, done};
-  }
-
-  // Streamed mode (Figure 10(c)): each chunk runs copy->kernel->copy on its
-  // own stream so transfers overlap other chunks' kernels.
-  Picos done = submit_time;
-  u32 offset = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    auto* job = jobs[j];
-    if (job->gpu_items == 0) continue;
-    assert(offset + job->gpu_items <= kMaxBatchItems);
-    const auto stream = gpu.stream_for(j);
-    const auto h2d =
-        gpu.device->memcpy_h2d(st.input, offset * sizeof(u32), job->gpu_input, stream,
-                               submit_time);
-    if (!h2d.ok()) return {h2d.status, h2d.end};
-
-    const u16* tbl24 = st.tbl24.as<const u16>();
-    const u16* tbl_long = st.tbl_long.as<const u16>();
-    const u32* in = st.input.as<const u32>() + offset;
-    u16* out = st.output.as<u16>() + offset;
-    gpu::KernelLaunch kernel{
-        .name = "ipv4_lookup",
-        .threads = job->gpu_items,
-        .body =
-            [=](gpu::ThreadCtx& ctx) {
-              const u32 tid = ctx.thread_id();
-              out[tid] = route::Ipv4Table::lookup_in_arrays(tbl24, tbl_long, in[tid]);
-            },
-        .cost = {.instructions = perf::kGpuIpv4LookupInstr, .mem_accesses = 1.05},
-    };
-    const auto k = gpu.device->launch(kernel, stream, submit_time);
-    if (!k.ok()) return {k.status, k.end};
-
-    job->gpu_output.resize(job->gpu_items * sizeof(u16));
-    const auto timing =
-        gpu.device->memcpy_d2h(job->gpu_output, st.output, offset * sizeof(u16), stream,
-                               submit_time);
-    if (!timing.ok()) return {timing.status, timing.end};
-    done = std::max(done, timing.end);
-    offset += job->gpu_items;
-  }
-  return {gpu::GpuStatus::kOk, done};
+  });
 }
 
 void Ipv4ForwardApp::shade_cpu(core::ShaderJob& job) {
   // Same computation as the kernel, host tables, no header rewrites. The
   // gathered input is already a dense key array, so the whole job goes
   // through one batched lookup.
+  const auto table = read();
   const auto* in = reinterpret_cast<const u32*>(job.gpu_input.data());
   job.gpu_output.resize(job.gpu_items * sizeof(u16));
   auto* out = reinterpret_cast<u16*>(job.gpu_output.data());
   if (batched_lookup_) {
     perf::charge_cpu_cycles(job.gpu_items * perf::kCpuIpv4LookupBatchCycles);
-    table_.lookup_batch(in, out, job.gpu_items);
+    table->lookup_batch(in, out, job.gpu_items);
     return;
   }
   for (u32 k = 0; k < job.gpu_items; ++k) {
     perf::charge_cpu_cycles(perf::kCpuIpv4LookupCycles);
-    out[k] = table_.lookup(net::Ipv4Addr(in[k]));
+    out[k] = table->lookup(net::Ipv4Addr(in[k]));
   }
 }
 
-void Ipv4ForwardApp::post_shade(core::ShaderJob& job) {
-  auto& chunk = job.chunk;
-  const auto* next_hops = reinterpret_cast<const u16*>(job.gpu_output.data());
-  for (u32 k = 0; k < job.gpu_items; ++k) {
-    perf::charge_cpu_cycles(perf::kPostShadingCyclesPerPacket);
-    const u32 i = job.gpu_index[k];
-    const route::NextHop nh = next_hops[k];
-    if (nh == route::kNoRoute) {
-      chunk.set_drop(i, iengine::DropReason::kNoRoute);
-    } else {
-      chunk.set_out_port(i, static_cast<i16>(nh));
-    }
-  }
-}
+void Ipv4ForwardApp::post_shade(core::ShaderJob& job) { lpm::post_shade(job); }
 
 void Ipv4ForwardApp::process_cpu(iengine::PacketChunk& chunk) {
+  // One epoch pin per chunk: routes may change between chunks, never
+  // within one.
+  const auto table = read();
   if (!batched_lookup_) {
     for (u32 i = 0; i < chunk.count(); ++i) {
       perf::charge_cpu_cycles(perf::kCpuIpv4LookupCycles);
       if (!classify_and_rewrite(chunk, i)) continue;
-      const route::NextHop nh = table_.lookup(net::Ipv4Addr(chunk_view_dst(chunk, i)));
-      if (nh == route::kNoRoute) {
-        chunk.set_drop(i, iengine::DropReason::kNoRoute);
-      } else {
-        chunk.set_out_port(i, static_cast<i16>(nh));
-      }
+      lpm::route_packet(chunk, i, table->lookup(net::Ipv4Addr(chunk_view_dst(chunk, i))));
     }
     return;
   }
   // Slowpath / CPU-only mode: gather eligible destinations into a stack
   // block, resolve with one batched lookup, scatter the verdicts.
-  u32 keys[kCpuBatchBlock] = {};
-  u32 idx[kCpuBatchBlock] = {};
-  route::NextHop nhs[kCpuBatchBlock] = {};
+  u32 keys[lpm::kCpuBatchBlock] = {};
+  u32 idx[lpm::kCpuBatchBlock] = {};
+  route::NextHop nhs[lpm::kCpuBatchBlock] = {};
   u32 m = 0;
   const auto flush = [&] {
-    table_.lookup_batch(keys, nhs, m);
-    for (u32 k = 0; k < m; ++k) {
-      if (nhs[k] == route::kNoRoute) {
-        chunk.set_drop(idx[k], iengine::DropReason::kNoRoute);
-      } else {
-        chunk.set_out_port(idx[k], static_cast<i16>(nhs[k]));
-      }
-    }
+    table->lookup_batch(keys, nhs, m);
+    for (u32 k = 0; k < m; ++k) lpm::route_packet(chunk, idx[k], nhs[k]);
     m = 0;
   };
   for (u32 i = 0; i < chunk.count(); ++i) {
@@ -220,7 +143,7 @@ void Ipv4ForwardApp::process_cpu(iengine::PacketChunk& chunk) {
     if (!classify_and_rewrite(chunk, i)) continue;
     keys[m] = chunk_view_dst(chunk, i);
     idx[m] = i;
-    if (++m == kCpuBatchBlock) flush();
+    if (++m == lpm::kCpuBatchBlock) flush();
   }
   flush();
 }

@@ -1,55 +1,14 @@
 #include "apps/ipv6_forward.hpp"
 
-#include <cassert>
-#include <cstring>
+#include <algorithm>
 
 #include "apps/classify.hpp"
-#include "perf/calibration.hpp"
-#include "perf/ledger.hpp"
 
 namespace ps::apps {
 
 namespace {
 
-perf::KernelCost ipv6_kernel_cost() {
-  // Seven dependent hash probes per lookup, each a random device-memory
-  // access (section 6.2.2); a probe touches a 24 B slot that straddles
-  // GDDR5 segments, so ~1.5 segments of bandwidth per probe.
-  return {.instructions = 7 * perf::kGpuIpv6LookupInstrPerProbe,
-          .mem_accesses = 7.0,
-          .bytes_per_access = 48};
-}
-
-}  // namespace
-
-Ipv6ForwardApp::Ipv6ForwardApp(const route::Ipv6Table& table)
-    : table_(table), flat_(table.flatten()) {}
-
-void Ipv6ForwardApp::bind_gpu(gpu::GpuDevice& device) {
-  if (gpu_state_.contains(device.gpu_id())) return;
-  GpuState st;
-
-  const auto slots = flat_.slots();
-  st.slots = device.alloc(std::max<std::size_t>(slots.size_bytes(), sizeof(route::Ipv6FlatTable::Slot)));
-  if (!slots.empty()) {
-    device.memcpy_h2d(st.slots, 0,
-                      {reinterpret_cast<const u8*>(slots.data()), slots.size_bytes()});
-  }
-  const auto offsets = flat_.level_offsets();
-  st.offsets = device.alloc(offsets.size_bytes());
-  device.memcpy_h2d(st.offsets, 0,
-                    {reinterpret_cast<const u8*>(offsets.data()), offsets.size_bytes()});
-  const auto masks = flat_.level_masks();
-  st.masks = device.alloc(masks.size_bytes());
-  device.memcpy_h2d(st.masks, 0,
-                    {reinterpret_cast<const u8*>(masks.data()), masks.size_bytes()});
-
-  st.input = device.alloc(kMaxBatchItems * 16);
-  st.output = device.alloc(kMaxBatchItems * sizeof(u16));
-  gpu_state_.emplace(device.gpu_id(), std::move(st));
-}
-
-bool Ipv6ForwardApp::classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
+bool classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
   net::PacketView view;
   if (classify_l3(chunk, i, net::EtherType::kIpv6, view) != FastPathClass::kEligible) {
     return false;
@@ -58,20 +17,63 @@ bool Ipv6ForwardApp::classify_and_rewrite(iengine::PacketChunk& chunk, u32 i) {
   return true;
 }
 
+/// Batched flat-table lookup of `n` interleaved (hi, lo) keys, charged
+/// per hash probe.
+void lookup_batch(const route::Ipv6Table& table, const u64* keys, route::NextHop* out,
+                  std::size_t n) {
+  u64 probes = 0;
+  table.flat().lookup_batch(keys, out, n, &probes);
+  perf::charge_cpu_cycles(static_cast<double>(probes) *
+                          perf::kCpuIpv6LookupBatchCyclesPerProbe);
+}
+
+}  // namespace
+
+Ipv6ForwardApp::Ipv6ForwardApp(const route::Ipv6Table& table) : table_(&table) {}
+
+Ipv6ForwardApp::Ipv6ForwardApp(route::Ipv6Fib& fib) : fib_(&fib) {}
+
+route::Ipv6Fib::ReadGuard Ipv6ForwardApp::read() const {
+  // A fixed table never changes, so it needs no epoch pin.
+  return fib_ != nullptr ? fib_->read() : route::Ipv6Fib::ReadGuard(epoch::Guard{}, table_);
+}
+
+void Ipv6ForwardApp::upload(lpm::GpuState<TableCopy>& st, int slot,
+                            const route::Ipv6Table& table) {
+  auto& copy = st.copies[slot];
+  const auto& flat = table.flat();
+  const auto slots = flat.slots();
+  lpm::reserve(st, copy.slots,
+               std::max<std::size_t>(slots.size_bytes(), sizeof(route::Ipv6FlatTable::Slot)),
+               ~std::size_t{0});
+  lpm::copy_in(*st.device, copy.slots, slots);
+  const auto offsets = flat.level_offsets();
+  lpm::reserve(st, copy.offsets, offsets.size_bytes(), offsets.size_bytes());
+  lpm::copy_in(*st.device, copy.offsets, offsets);
+  const auto masks = flat.level_masks();
+  lpm::reserve(st, copy.masks, masks.size_bytes(), masks.size_bytes());
+  lpm::copy_in(*st.device, copy.masks, masks);
+  copy.default_nh = flat.default_route();
+}
+
+void Ipv6ForwardApp::bind_gpu(gpu::GpuDevice& device) {
+  lpm::bind(gpu_state_, device, 16, fib_, table_, &Ipv6ForwardApp::upload);
+}
+
+int Ipv6ForwardApp::sync() {
+  return fib_ != nullptr ? lpm::sync(gpu_state_, *fib_, &Ipv6ForwardApp::upload) : 0;
+}
+
 void Ipv6ForwardApp::pre_shade(core::ShaderJob& job) {
   auto& chunk = job.chunk;
-  job.gpu_input.reserve(chunk.count() * 16);
   for (u32 i = 0; i < chunk.count(); ++i) {
     perf::charge_cpu_cycles(perf::kPreShadingCyclesPerPacket);
     if (!classify_and_rewrite(chunk, i)) continue;
     // Gather hi/lo words in host order, the layout the kernel consumes.
     const u8* dst = chunk_view_dst6(chunk, i);
-    const u64 hi = load_be64(dst);
-    const u64 lo = load_be64(dst + 8);
-    const auto* hb = reinterpret_cast<const u8*>(&hi);
-    const auto* lb = reinterpret_cast<const u8*>(&lo);
-    job.gpu_input.insert(job.gpu_input.end(), hb, hb + 8);
-    job.gpu_input.insert(job.gpu_input.end(), lb, lb + 8);
+    const u64 words[2] = {load_be64(dst), load_be64(dst + 8)};
+    const auto* bytes = reinterpret_cast<const u8*>(words);
+    job.gpu_input.insert(job.gpu_input.end(), bytes, bytes + sizeof(words));
     job.gpu_index.push_back(i);
   }
   job.gpu_items = static_cast<u32>(job.gpu_index.size());
@@ -80,166 +82,61 @@ void Ipv6ForwardApp::pre_shade(core::ShaderJob& job) {
 core::ShadeOutcome Ipv6ForwardApp::shade(core::GpuContext& gpu,
                                          std::span<core::ShaderJob* const> jobs,
                                          Picos submit_time) {
-  auto& st = gpu_state_.at(gpu.device->gpu_id());
-  const auto* slots = st.slots.as<const route::Ipv6FlatTable::Slot>();
-  const auto* offsets = st.offsets.as<const u32>();
-  const auto* masks = st.masks.as<const u32>();
-  const route::NextHop default_nh = flat_.default_route();
-
-  const bool streamed = gpu.streams.size() > 1;
-  Picos done = submit_time;
-  u32 offset = 0;
-
-  if (!streamed) {
-    u32 total = 0;
-    for (auto* job : jobs) {
-      if (job->gpu_items == 0) continue;
-      assert(total + job->gpu_items <= kMaxBatchItems);
-      const auto h2d = gpu.device->memcpy_h2d(st.input, static_cast<std::size_t>(total) * 16,
-                                              job->gpu_input, gpu::kDefaultStream, submit_time);
-      if (!h2d.ok()) return {h2d.status, h2d.end};
-      total += job->gpu_items;
-    }
-    if (total == 0) return {gpu::GpuStatus::kOk, submit_time};
-
-    const u64* in = st.input.as<const u64>();
-    u16* out = st.output.as<u16>();
-    gpu::KernelLaunch kernel{
+  auto& st = *gpu_state_.at(gpu.device->gpu_id());
+  const auto& copy = st.copies[st.active.load(std::memory_order_acquire)];
+  const struct {
+    const route::Ipv6FlatTable::Slot* slots;
+    const u32* offsets;
+    const u32* masks;
+    const u64* in;
+    u16* out;
+    route::NextHop default_nh;
+  } args{copy.slots.as<const route::Ipv6FlatTable::Slot>(), copy.offsets.as<const u32>(),
+         copy.masks.as<const u32>(), st.input.as<const u64>(), st.output.as<u16>(),
+         copy.default_nh};
+  return lpm::shade(gpu, jobs, submit_time, st, 16, [&args](u32 first, u32 count) {
+    return gpu::KernelLaunch{
         .name = "ipv6_lookup",
-        .threads = total,
+        .threads = count,
         .body =
-            [=](gpu::ThreadCtx& ctx) {
-              const u32 tid = ctx.thread_id();
-              out[tid] = route::Ipv6FlatTable::lookup_in_arrays(
-                  slots, offsets, masks, in[tid * 2], in[tid * 2 + 1], default_nh);
+            [a = &args, first](gpu::ThreadCtx& ctx) {
+              const std::size_t k = first + ctx.thread_id();
+              a->out[k] = route::Ipv6FlatTable::lookup_in_arrays(
+                  a->slots, a->offsets, a->masks, a->in[k * 2], a->in[k * 2 + 1], a->default_nh);
             },
-        .cost = ipv6_kernel_cost(),
+        // Seven dependent hash probes per lookup, each a random
+        // device-memory access (section 6.2.2); a probe touches a 24 B slot
+        // that straddles GDDR5 segments, so ~1.5 segments of bandwidth per
+        // probe.
+        .cost = {.instructions = 7 * perf::kGpuIpv6LookupInstrPerProbe,
+                 .mem_accesses = 7.0,
+                 .bytes_per_access = 48},
     };
-    const auto k = gpu.device->launch(kernel, gpu::kDefaultStream, submit_time);
-    if (!k.ok()) return {k.status, k.end};
-
-    for (auto* job : jobs) {
-      if (job->gpu_items == 0) continue;
-      job->gpu_output.resize(job->gpu_items * sizeof(u16));
-      const auto timing = gpu.device->memcpy_d2h(
-          job->gpu_output, st.output, static_cast<std::size_t>(offset) * sizeof(u16),
-          gpu::kDefaultStream, submit_time);
-      if (!timing.ok()) return {timing.status, timing.end};
-      done = std::max(done, timing.end);
-      offset += job->gpu_items;
-    }
-    return {gpu::GpuStatus::kOk, done};
-  }
-
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    auto* job = jobs[j];
-    if (job->gpu_items == 0) continue;
-    assert(offset + job->gpu_items <= kMaxBatchItems);
-    const auto stream = gpu.stream_for(j);
-    const auto h2d = gpu.device->memcpy_h2d(st.input, static_cast<std::size_t>(offset) * 16,
-                                            job->gpu_input, stream, submit_time);
-    if (!h2d.ok()) return {h2d.status, h2d.end};
-    const u64* in = st.input.as<const u64>() + static_cast<std::size_t>(offset) * 2;
-    u16* out = st.output.as<u16>() + offset;
-    gpu::KernelLaunch kernel{
-        .name = "ipv6_lookup",
-        .threads = job->gpu_items,
-        .body =
-            [=](gpu::ThreadCtx& ctx) {
-              const u32 tid = ctx.thread_id();
-              out[tid] = route::Ipv6FlatTable::lookup_in_arrays(
-                  slots, offsets, masks, in[tid * 2], in[tid * 2 + 1], default_nh);
-            },
-        .cost = ipv6_kernel_cost(),
-    };
-    const auto k = gpu.device->launch(kernel, stream, submit_time);
-    if (!k.ok()) return {k.status, k.end};
-    job->gpu_output.resize(job->gpu_items * sizeof(u16));
-    const auto timing =
-        gpu.device->memcpy_d2h(job->gpu_output, st.output,
-                               static_cast<std::size_t>(offset) * sizeof(u16), stream,
-                               submit_time);
-    if (!timing.ok()) return {timing.status, timing.end};
-    done = std::max(done, timing.end);
-    offset += job->gpu_items;
-  }
-  return {gpu::GpuStatus::kOk, done};
+  });
 }
 
 void Ipv6ForwardApp::shade_cpu(core::ShaderJob& job) {
-  const auto* in = reinterpret_cast<const u64*>(job.gpu_input.data());
+  // The gathered input is already the interleaved (hi, lo) layout the
+  // batch API consumes; one interleaved walk resolves the whole job.
   job.gpu_output.resize(job.gpu_items * sizeof(u16));
-  auto* out = reinterpret_cast<u16*>(job.gpu_output.data());
-  if (batched_lookup_) {
-    // The gathered input is already the interleaved (hi, lo) layout the
-    // batch API consumes; one interleaved walk resolves the whole job.
-    u64 probes = 0;
-    flat_.lookup_batch(in, out, job.gpu_items, &probes);
-    perf::charge_cpu_cycles(static_cast<double>(probes) *
-                            perf::kCpuIpv6LookupBatchCyclesPerProbe);
-    return;
-  }
-  for (u32 k = 0; k < job.gpu_items; ++k) {
-    int probes = 0;
-    out[k] = table_.lookup(net::Ipv6Addr::from_words(in[k * 2], in[k * 2 + 1]), &probes);
-    perf::charge_cpu_cycles(probes * perf::kCpuIpv6LookupCyclesPerProbe);
-  }
+  lookup_batch(*read(), reinterpret_cast<const u64*>(job.gpu_input.data()),
+               reinterpret_cast<u16*>(job.gpu_output.data()), job.gpu_items);
 }
 
-void Ipv6ForwardApp::post_shade(core::ShaderJob& job) {
-  auto& chunk = job.chunk;
-  const auto* next_hops = reinterpret_cast<const u16*>(job.gpu_output.data());
-  for (u32 k = 0; k < job.gpu_items; ++k) {
-    perf::charge_cpu_cycles(perf::kPostShadingCyclesPerPacket);
-    const u32 i = job.gpu_index[k];
-    const route::NextHop nh = next_hops[k];
-    if (nh == route::kNoRoute) {
-      chunk.set_drop(i, iengine::DropReason::kNoRoute);
-    } else {
-      chunk.set_out_port(i, static_cast<i16>(nh));
-    }
-  }
-}
+void Ipv6ForwardApp::post_shade(core::ShaderJob& job) { lpm::post_shade(job); }
 
 void Ipv6ForwardApp::process_cpu(iengine::PacketChunk& chunk) {
-  if (!batched_lookup_) {
-    for (u32 i = 0; i < chunk.count(); ++i) {
-      if (!classify_and_rewrite(chunk, i)) {
-        perf::charge_cpu_cycles(perf::kCpuIpv6LookupCyclesPerProbe);
-        continue;
-      }
-      const u8* dst = chunk_view_dst6(chunk, i);
-      int probes = 0;
-      const route::NextHop nh =
-          table_.lookup(net::Ipv6Addr::from_words(load_be64(dst), load_be64(dst + 8)), &probes);
-      perf::charge_cpu_cycles(probes * perf::kCpuIpv6LookupCyclesPerProbe);
-      if (nh == route::kNoRoute) {
-        chunk.set_drop(i, iengine::DropReason::kNoRoute);
-      } else {
-        chunk.set_out_port(i, static_cast<i16>(nh));
-      }
-    }
-    return;
-  }
   // Slowpath / CPU-only mode: gather eligible destinations (interleaved
   // hi/lo words) into a stack block, resolve with one batched walk, scatter
-  // the verdicts. Probe accounting is accumulated by the batch API.
-  u64 keys[2 * kCpuBatchBlock] = {};
-  u32 idx[kCpuBatchBlock] = {};
-  route::NextHop nhs[kCpuBatchBlock] = {};
+  // the verdicts. One epoch pin per chunk.
+  const auto table = read();
+  u64 keys[2 * lpm::kCpuBatchBlock] = {};
+  u32 idx[lpm::kCpuBatchBlock] = {};
+  route::NextHop nhs[lpm::kCpuBatchBlock] = {};
   u32 m = 0;
   const auto flush = [&] {
-    u64 probes = 0;
-    flat_.lookup_batch(keys, nhs, m, &probes);
-    perf::charge_cpu_cycles(static_cast<double>(probes) *
-                            perf::kCpuIpv6LookupBatchCyclesPerProbe);
-    for (u32 k = 0; k < m; ++k) {
-      if (nhs[k] == route::kNoRoute) {
-        chunk.set_drop(idx[k], iengine::DropReason::kNoRoute);
-      } else {
-        chunk.set_out_port(idx[k], static_cast<i16>(nhs[k]));
-      }
-    }
+    lookup_batch(*table, keys, nhs, m);
+    for (u32 k = 0; k < m; ++k) lpm::route_packet(chunk, idx[k], nhs[k]);
     m = 0;
   };
   for (u32 i = 0; i < chunk.count(); ++i) {
@@ -251,7 +148,7 @@ void Ipv6ForwardApp::process_cpu(iengine::PacketChunk& chunk) {
     keys[2 * m] = load_be64(dst);
     keys[2 * m + 1] = load_be64(dst + 8);
     idx[m] = i;
-    if (++m == kCpuBatchBlock) flush();
+    if (++m == lpm::kCpuBatchBlock) flush();
   }
   flush();
 }

@@ -1,20 +1,28 @@
 // IPv6 forwarding application (section 6.2.2): binary search on prefix
 // lengths, seven hash probes per lookup — the memory-intensive workload
 // where GPU acceleration pays off most (Figure 11(b)).
+//
+// Like Ipv4ForwardApp, the table is either fixed (a caller-owned
+// Ipv6Table) or live (a route::Ipv6Fib read under an epoch pin). Both the
+// GPU copies and the batched CPU lookups use the table's flattened form
+// (Ipv6Table::flat()), which every build() refreshes, so the CPU path
+// follows commits without a sync().
 #pragma once
 
-#include <unordered_map>
-
+#include "apps/lpm_forward.hpp"
 #include "core/shader.hpp"
-#include "route/ipv6_table.hpp"
+#include "route/fib_manager.hpp"
 
 namespace ps::apps {
 
 class Ipv6ForwardApp final : public core::Shader {
  public:
-  /// Builds the flattened GPU layout from `table` up front; `table` must
-  /// outlive the app.
+  /// Fixed table: `table` must outlive the app and never change.
   explicit Ipv6ForwardApp(const route::Ipv6Table& table);
+  /// The app keeps a reference; a temporary table would dangle.
+  explicit Ipv6ForwardApp(const route::Ipv6Table&&) = delete;
+  /// Live table: `fib` must outlive the app.
+  explicit Ipv6ForwardApp(route::Ipv6Fib& fib);
 
   const char* name() const override { return "ipv6-forward"; }
   void bind_gpu(gpu::GpuDevice& device) override;
@@ -25,30 +33,26 @@ class Ipv6ForwardApp final : public core::Shader {
   void post_shade(core::ShaderJob& job) override;
   void process_cpu(iengine::PacketChunk& chunk) override;
 
-  static constexpr u32 kMaxBatchItems = 65536;
-
-  /// Ablation switch for benchmarking: when off, the CPU paths fall back to
-  /// the scalar per-packet lookup (the pre-PR5 behaviour). On by default.
-  void set_batched_lookup(bool on) { batched_lookup_ = on; }
-
-  /// Packets gathered on the stack per lookup_batch call in process_cpu.
-  static constexpr u32 kCpuBatchBlock = 256;
+  /// Push the FIB's current generation to every bound GPU (standby upload,
+  /// then flip). Call after fib.commit(); safe while the data path runs.
+  /// Returns the devices refreshed — always 0 for a fixed table.
+  int sync();
 
  private:
-  bool classify_and_rewrite(iengine::PacketChunk& chunk, u32 i);
-
-  struct GpuState {
+  struct TableCopy {
     gpu::DeviceBuffer slots;
-    gpu::DeviceBuffer offsets;
-    gpu::DeviceBuffer masks;
-    gpu::DeviceBuffer input;   // 16 B address per item
-    gpu::DeviceBuffer output;  // u16 next hop per item
+    gpu::DeviceBuffer offsets;  // u32[129]
+    gpu::DeviceBuffer masks;    // u32[129]
+    route::NextHop default_nh = route::kNoRoute;
   };
 
-  const route::Ipv6Table& table_;
-  route::Ipv6FlatTable flat_;
-  std::unordered_map<int, GpuState> gpu_state_;
-  bool batched_lookup_ = true;
+  /// The table to look up in, pinned for one chunk when it is live.
+  route::Ipv6Fib::ReadGuard read() const;
+  static void upload(lpm::GpuState<TableCopy>& st, int slot, const route::Ipv6Table& table);
+
+  const route::Ipv6Table* table_ = nullptr;
+  const route::Ipv6Fib* fib_ = nullptr;
+  lpm::GpuStates<TableCopy> gpu_state_;
 };
 
 }  // namespace ps::apps

@@ -54,18 +54,26 @@ class PortTap final : public nic::WireSink {
 /// wire sink and forwards to whatever sink was there before.
 void attach_tx_tap(nic::NicPort& port, PortTap& tap);
 
-/// In-memory TX capture (thread-safe): stores every frame it sees. The
-/// expect harness compares its contents against golden captures.
+/// In-memory TX capture (thread-safe): stores every frame it sees and the
+/// port it left through. The expect harness compares its contents against
+/// golden captures.
 class FrameCollector final : public nic::WireSink {
  public:
-  void on_frame(int /*port*/, std::span<const u8> frame) override {
+  void on_frame(int port, std::span<const u8> frame) override {
     MutexLock lock(mu_);
     frames_.emplace_back(frame.begin(), frame.end());
+    ports_.push_back(port);
   }
 
   std::vector<std::vector<u8>> frames() const {
     MutexLock lock(mu_);
     return frames_;
+  }
+
+  /// ports()[i] is the port frames()[i] left through.
+  std::vector<int> ports() const {
+    MutexLock lock(mu_);
+    return ports_;
   }
 
   u64 size() const {
@@ -76,6 +84,7 @@ class FrameCollector final : public nic::WireSink {
  private:
   mutable Mutex mu_;
   std::vector<std::vector<u8>> frames_ GUARDED_BY(mu_);
+  std::vector<int> ports_ GUARDED_BY(mu_);
 };
 
 }  // namespace ps::cap

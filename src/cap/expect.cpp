@@ -8,15 +8,17 @@
 
 namespace ps::cap {
 
-FrameList canonicalize(FrameList frames) {
+bool frame_less(const std::vector<u8>& a, const std::vector<u8>& b) {
   // Byte-lexicographic, as vector<u8>'s operator<, but spelled as one
   // bounded memcmp: GCC 12 at -O2 misreads the inlined operator<=> as an
   // unbounded read (-Wstringop-overread).
-  std::sort(frames.begin(), frames.end(), [](const auto& a, const auto& b) {
-    const std::size_t common = std::min(a.size(), b.size());
-    const int c = common == 0 ? 0 : std::memcmp(a.data(), b.data(), common);
-    return c != 0 ? c < 0 : a.size() < b.size();
-  });
+  const std::size_t common = std::min(a.size(), b.size());
+  const int c = common == 0 ? 0 : std::memcmp(a.data(), b.data(), common);
+  return c != 0 ? c < 0 : a.size() < b.size();
+}
+
+FrameList canonicalize(FrameList frames) {
+  std::sort(frames.begin(), frames.end(), frame_less);
   return frames;
 }
 

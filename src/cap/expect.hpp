@@ -18,6 +18,9 @@ namespace ps::cap {
 
 using FrameList = std::vector<std::vector<u8>>;
 
+/// The canonical order: byte-lexicographic.
+bool frame_less(const std::vector<u8>& a, const std::vector<u8>& b);
+
 /// Canonical golden form: frames sorted lexicographically by bytes.
 FrameList canonicalize(FrameList frames);
 

@@ -1,6 +1,8 @@
 #include "cap/golden.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <thread>
 
 #include "apps/ipsec_gateway.hpp"
@@ -63,9 +65,27 @@ gen::TrafficGen corpus_traffic(Corpus corpus) {
   return gen::TrafficGen();
 }
 
+/// The collected TX in canonical frame order, each frame with its port.
+/// Byte-identical frames share a destination, so their order among
+/// themselves cannot matter.
+RoutedTx canonical_tx(const FrameCollector& sink) {
+  FrameList frames = sink.frames();
+  const std::vector<int> ports = sink.ports();
+  std::vector<std::size_t> order(frames.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(),
+            [&](std::size_t a, std::size_t b) { return frame_less(frames[a], frames[b]); });
+  RoutedTx tx;
+  for (const std::size_t i : order) {
+    tx.frames.push_back(std::move(frames[i]));
+    tx.ports.push_back(ports[i]);
+  }
+  return tx;
+}
+
 /// Replay the input through the paper-server testbed with `app` on the
 /// GPU path (inline SIMT execution) under `scheduler` and collect TX.
-FrameList run_through(core::Shader& app, const std::string& input_path, Scheduler scheduler) {
+RoutedTx run_through(core::Shader& app, const std::string& input_path, Scheduler scheduler) {
   const core::RouterConfig config{.use_gpu = true};
   core::Testbed testbed(
       {.topo = pcie::Topology::paper_server(), .use_gpu = true, .ring_size = 4096}, config);
@@ -76,7 +96,7 @@ FrameList run_through(core::Shader& app, const std::string& input_path, Schedule
   if (scheduler == Scheduler::kModel) {
     core::ModelDriver driver(testbed, &app, config);
     driver.run(static_cast<gen::FrameSource&>(replayer), ~u64{0});  // exits when the capture drains
-    return canonicalize(sink.frames());
+    return canonical_tx(sink);
   }
 
   core::Router router(testbed.engine(), testbed.gpus(), app, config);
@@ -93,7 +113,7 @@ FrameList run_through(core::Shader& app, const std::string& input_path, Schedule
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   router.stop();
-  return canonicalize(sink.frames());
+  return canonical_tx(sink);
 }
 
 }  // namespace
@@ -133,7 +153,7 @@ void write_corpus_input(Corpus corpus, const std::string& path) {
   }
 }
 
-FrameList route_corpus(Corpus corpus, const std::string& input_path, Scheduler scheduler) {
+RoutedTx route_corpus(Corpus corpus, const std::string& input_path, Scheduler scheduler) {
   switch (corpus) {
     case Corpus::kIpv4Imix: {
       const auto rib = corpus_ipv4_rib();
@@ -156,6 +176,42 @@ FrameList route_corpus(Corpus corpus, const std::string& input_path, Scheduler s
     }
   }
   return {};
+}
+
+std::vector<int> corpus_rib_ports(Corpus corpus, const FrameList& frames) {
+  std::vector<route::Ipv4Prefix> rib4;
+  std::vector<route::Ipv6Prefix> rib6;
+  if (corpus == Corpus::kIpv4Imix) rib4 = corpus_ipv4_rib();
+  if (corpus == Corpus::kIpv6) rib6 = corpus_ipv6_rib();
+  std::vector<int> ports;
+  for (std::vector<u8> frame : frames) {
+    net::PacketView view;
+    const bool parsed = net::parse_packet(frame.data(), static_cast<u32>(frame.size()), view) ==
+                        net::ParseStatus::kOk;
+    // Longest covering prefix; ties go to the later RIB entry, as in the
+    // table builds.
+    int best_len = -1;
+    int port = -1;
+    const auto consider = [&](bool covers, int length, route::NextHop nh) {
+      if (covers && length >= best_len) {
+        best_len = length;
+        port = nh;
+      }
+    };
+    if (parsed && view.ether_type == net::EtherType::kIpv4) {
+      const net::Ipv4Addr dst = view.ipv4().dst();
+      for (const auto& p : rib4) consider(p.matches(dst), p.length, p.next_hop);
+    } else if (parsed && view.ether_type == net::EtherType::kIpv6) {
+      const net::Ipv6Addr dst = view.ipv6().dst();
+      for (const auto& p : rib6) {
+        consider(route::mask128(dst.hi64(), dst.lo64(), p.length) ==
+                     route::mask128(p.addr.hi64(), p.addr.lo64(), p.length),
+                 p.length, p.next_hop);
+      }
+    }
+    ports.push_back(port);
+  }
+  return ports;
 }
 
 crypto::SecurityAssociation corpus_ipsec_sa() {

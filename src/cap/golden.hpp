@@ -7,6 +7,7 @@
 
 #include <array>
 #include <string>
+#include <vector>
 
 #include "cap/expect.hpp"
 #include "crypto/esp.hpp"
@@ -42,13 +43,26 @@ void write_corpus_input(Corpus corpus, const std::string& path);
 /// core::Router. Both run the same core/stages functions.
 enum class Scheduler : u8 { kModel, kThreaded };
 
+/// A replay's TX: the frames in canonical order and the port each left
+/// through.
+struct RoutedTx {
+  FrameList frames;
+  std::vector<int> ports;  // ports[i]: egress port of frames[i]
+};
+
 /// Replay the capture at `input_path` through the full router configured
 /// for `corpus` (paper-server testbed, GPU path, inline SIMT execution)
-/// and return the canonicalized TX frames. IPsec output under kThreaded
-/// carries the same inner packets, but ESP sequence numbers follow the
-/// order in which the workers meet the packets.
-FrameList route_corpus(Corpus corpus, const std::string& input_path,
-                       Scheduler scheduler = Scheduler::kModel);
+/// and return its TX. IPsec output under kThreaded carries the same inner
+/// packets, but ESP sequence numbers follow the order in which the workers
+/// meet the packets.
+RoutedTx route_corpus(Corpus corpus, const std::string& input_path,
+                      Scheduler scheduler = Scheduler::kModel);
+
+/// The egress port the corpus RIB gives each of `frames`: the longest
+/// prefix covering its destination, found by a linear scan of the RIB (no
+/// router table involved); -1 when none covers it. IPv4-IMIX and IPv6
+/// corpora only.
+std::vector<int> corpus_rib_ports(Corpus corpus, const FrameList& frames);
 
 /// The security association the IPsec corpus is encapsulated with (fresh
 /// anti-replay window), for decapsulating its TX.

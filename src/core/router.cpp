@@ -70,6 +70,16 @@ Router::Router(iengine::PacketIoEngine& engine, std::vector<gpu::GpuDevice*> gpu
       // so the steady state never grows them.
       worker->scatter_scratch.resize(worker->out_queue->capacity());
       worker->finish_scratch.reserve(worker->out_queue->capacity());
+      // Every job this worker can own at once, allocated up front: a fetch
+      // needs inflight < pipeline_depth (GPU mode), and the CPU-only path
+      // finishes its one chunk inline. How deep the pipeline got during a
+      // warm-up then no longer decides whether later traffic allocates.
+      const u32 max_jobs = config_.use_gpu ? std::max<u32>(config_.pipeline_depth, 1) : 1;
+      worker->job_pool.reserve(max_jobs);
+      for (u32 j = 0; j < max_jobs; ++j) {
+        worker->job_pool.push_back(std::make_unique<ShaderJob>(config_.chunk_capacity));
+        worker->job_pool.back()->worker_id = -1;  // free
+      }
       workers_.push_back(std::move(worker));
     }
   }
@@ -680,9 +690,17 @@ ConservationAudit Router::audit() const {
   audit.tx = total.packets_out;
   audit.dropped = total.dropped();
   audit.slow_path = total.slow_path;
-  // Jobs still owned by a worker hold packets inside the pipeline. Exact
-  // once threads are joined (job pools are worker-thread-local while they
-  // run), zero after a clean stop().
+  if (started_) {
+    // Job pools belong to their worker threads while they run; the
+    // single-writer in-flight counters are what may be read meanwhile.
+    for (const auto& slot : stats_) {
+      audit.in_flight += slot->in_flight_packets.load(std::memory_order_relaxed);
+    }
+    return audit;
+  }
+  // Threads joined: jobs still owned by a worker hold packets inside the
+  // pipeline — the exact count, independent of the counters, and zero
+  // after a clean stop().
   for (const auto& worker : workers_) {
     for (const auto& owned : worker->job_pool) {
       if (owned->worker_id != -1) audit.in_flight += owned->chunk.count();

@@ -200,8 +200,11 @@ class Router {
   WorkerStats stats() const { return total_stats(); }
   std::vector<WorkerStats> worker_stats() const;
 
-  /// Packet-conservation audit. Exact once the router is stopped;
-  /// a racy-but-indicative snapshot while it runs.
+  /// Packet-conservation audit. Exact once the router is stopped (the
+  /// in-flight count comes from the job pools). While it runs, in_flight
+  /// comes from the workers' single-writer counters and each field is read
+  /// separately: an indicative snapshot, safe to poll from the thread that
+  /// called start() (not concurrently with start()/stop()).
   ConservationAudit audit() const;
 
   /// Liveness: the heartbeat supervisor (stall events, per-thread health).

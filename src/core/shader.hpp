@@ -118,6 +118,7 @@ struct ShaderJob {
     } else {
       SubJob sub;
       sub.job = std::make_unique<ShaderJob>(chunk_capacity);
+      sub.parent_index.reserve(chunk_capacity);
       sub_jobs.push_back(std::move(sub));
     }
     return sub_jobs.back();

@@ -243,7 +243,7 @@ class GpuDevice {
   perf::CostLedger* ledger_ = nullptr;
   fault::FaultInjector* injector_ = nullptr;
   // Serializes device operations: a master thread and a control-plane
-  // table update (DynamicIpv4ForwardApp::sync) may touch one device
+  // table update (Ipv4ForwardApp::sync) may touch one device
   // concurrently, like the CUDA driver's per-context lock.
   mutable Mutex op_mu_;
 

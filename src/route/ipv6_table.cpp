@@ -138,6 +138,7 @@ void Ipv6Table::build(std::span<const Ipv6Prefix> prefixes) {
       if (entry.bmp == kNoRoute) entry.bmp = default_nh_;
     }
   }
+  flat_ = flatten();
 }
 
 NextHop Ipv6Table::lookup(const net::Ipv6Addr& addr, int* probes) const {

@@ -1,11 +1,11 @@
-// Dynamic IPv4 forwarding: live FIB updates with double-buffered GPU
+// IPv4 forwarding over a live FIB: route commits with double-buffered GPU
 // tables, including an update while the real-threaded router forwards.
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <thread>
 
-#include "apps/dynamic_ipv4.hpp"
+#include "apps/ipv4_forward.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "gen/traffic.hpp"
@@ -23,7 +23,7 @@ struct GpuHarness {
   core::GpuContext ctx{&device, {gpu::kDefaultStream}};
 };
 
-void run_gpu(DynamicIpv4ForwardApp& app, GpuHarness& gpu, core::ShaderJob& job) {
+void run_gpu(Ipv4ForwardApp& app, GpuHarness& gpu, core::ShaderJob& job) {
   app.pre_shade(job);
   core::ShaderJob* jobs[] = {&job};
   app.shade(gpu.ctx, {jobs, 1});
@@ -34,7 +34,7 @@ TEST(DynamicIpv4, CpuPathFollowsCommits) {
   route::Ipv4Fib fib;
   fib.announce(default_route(1));
   fib.commit();
-  DynamicIpv4ForwardApp app(fib);
+  Ipv4ForwardApp app(fib);
 
   gen::TrafficGen traffic({.seed = 50});
   core::ShaderJob job(8);
@@ -54,7 +54,7 @@ TEST(DynamicIpv4, GpuPathUsesActiveCopyUntilSync) {
   route::Ipv4Fib fib;
   fib.announce(default_route(1));
   fib.commit();
-  DynamicIpv4ForwardApp app(fib);
+  Ipv4ForwardApp app(fib);
   GpuHarness gpu;
   app.bind_gpu(gpu.device);
 
@@ -89,7 +89,7 @@ TEST(DynamicIpv4, WithdrawTurnsIntoDrop) {
   route::Ipv4Fib fib;
   fib.announce({net::Ipv4Addr(10, 0, 0, 0), 8, 2});
   fib.commit();
-  DynamicIpv4ForwardApp app(fib);
+  Ipv4ForwardApp app(fib);
 
   auto frame = net::build_udp_ipv4({}, net::Ipv4Addr(1, 1, 1, 1), net::Ipv4Addr(10, 2, 3, 4));
   core::ShaderJob job(4);
@@ -112,7 +112,7 @@ TEST(DynamicIpv4, LiveUpdateUnderThreadedRouter) {
   route::Ipv4Fib fib;
   fib.announce(default_route(1));
   fib.commit();
-  DynamicIpv4ForwardApp app(fib);
+  Ipv4ForwardApp app(fib);
 
   core::Testbed testbed({.topo = pcie::Topology::paper_server(),
                          .use_gpu = true,

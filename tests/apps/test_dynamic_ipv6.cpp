@@ -1,8 +1,8 @@
-// Dynamic IPv6 forwarding: commits, standby-buffer flips (including table
-// growth), and GPU/CPU equivalence against a changing FIB.
+// IPv6 forwarding over a live FIB: commits, standby-buffer flips
+// (including table growth), and GPU/CPU equivalence against a changing FIB.
 #include <gtest/gtest.h>
 
-#include "apps/dynamic_ipv6.hpp"
+#include "apps/ipv6_forward.hpp"
 #include "gen/traffic.hpp"
 #include "route/rib_gen.hpp"
 
@@ -15,7 +15,7 @@ struct GpuHarness {
   core::GpuContext ctx{&device, {gpu::kDefaultStream}};
 };
 
-void run_gpu(DynamicIpv6ForwardApp& app, GpuHarness& gpu, core::ShaderJob& job) {
+void run_gpu(Ipv6ForwardApp& app, GpuHarness& gpu, core::ShaderJob& job) {
   app.pre_shade(job);
   core::ShaderJob* jobs[] = {&job};
   app.shade(gpu.ctx, {jobs, 1});
@@ -28,7 +28,7 @@ TEST(DynamicIpv6, CpuPathFollowsCommits) {
   route::Ipv6Fib fib;
   fib.announce(default6(2));
   fib.commit();
-  DynamicIpv6ForwardApp app(fib);
+  Ipv6ForwardApp app(fib);
 
   gen::TrafficGen traffic({.kind = gen::TrafficKind::kIpv6Udp, .frame_size = 78, .seed = 1});
   core::ShaderJob job(4);
@@ -48,7 +48,7 @@ TEST(DynamicIpv6, GpuFlipsOnSync) {
   route::Ipv6Fib fib;
   fib.announce(default6(1));
   fib.commit();
-  DynamicIpv6ForwardApp app(fib);
+  Ipv6ForwardApp app(fib);
   GpuHarness gpu;
   app.bind_gpu(gpu.device);
 
@@ -80,7 +80,7 @@ TEST(DynamicIpv6, StandbyGrowsWhenTableGrows) {
   route::Ipv6Fib fib;
   fib.announce({net::Ipv6Addr::from_words(0x2001'0000'0000'0000ULL, 0), 16, 3});
   fib.commit();
-  DynamicIpv6ForwardApp app(fib);
+  Ipv6ForwardApp app(fib);
   GpuHarness gpu;
   app.bind_gpu(gpu.device);
 
@@ -115,7 +115,7 @@ TEST(DynamicIpv6, WithdrawTurnsIntoDrop) {
   const route::Ipv6Prefix p{net::Ipv6Addr::from_words(0xaaaa'0000'0000'0000ULL, 0), 16, 4};
   fib.announce(p);
   fib.commit();
-  DynamicIpv6ForwardApp app(fib);
+  Ipv6ForwardApp app(fib);
 
   net::FrameSpec spec;
   spec.frame_size = 78;

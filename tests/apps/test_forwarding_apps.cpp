@@ -1,12 +1,16 @@
 // IPv4/IPv6 forwarding shaders: CPU path vs GPU path equivalence,
-// classification (drop/slow-path), and header rewriting.
+// classification (drop/slow-path), header rewriting, and what a fixed
+// table costs on the device.
 #include <gtest/gtest.h>
+
+#include <type_traits>
 
 #include "apps/ipv4_forward.hpp"
 #include "apps/ipv6_forward.hpp"
 #include "core/shader.hpp"
 #include "gen/traffic.hpp"
 #include "route/rib_gen.hpp"
+#include "table_sources.hpp"
 
 namespace ps::apps {
 namespace {
@@ -222,42 +226,87 @@ TEST(Ipv6ForwardApp, GatherScatterAcrossMultipleJobs) {
 
 TEST(Ipv4ForwardApp, StreamedShadingProducesSameResults) {
   const auto rib = route::generate_ipv4_rib({.prefix_count = 5000, .num_next_hops = 8, .seed = 11});
+  for_each_table_source<Ipv4ForwardApp, route::Ipv4Table, route::Ipv4Fib>(
+      std::span<const route::Ipv4Prefix>(rib),
+      [](Ipv4ForwardApp& app, const route::Ipv4Table& table) {
+        GpuHarness gpu;
+        gpu.ctx.streams.push_back(gpu.device.create_stream());
+        gpu.ctx.streams.push_back(gpu.device.create_stream());
+        app.bind_gpu(gpu.device);
+
+        gen::TrafficGen traffic({.seed = 12});
+        std::vector<std::unique_ptr<core::ShaderJob>> jobs;
+        std::vector<core::ShaderJob*> ptrs;
+        for (int j = 0; j < 3; ++j) {
+          jobs.push_back(std::make_unique<core::ShaderJob>(64));
+          for (int i = 0; i < 64; ++i) jobs.back()->chunk.append(traffic.next_frame());
+          app.pre_shade(*jobs.back());
+          ptrs.push_back(jobs.back().get());
+        }
+        app.shade(gpu.ctx, {ptrs.data(), ptrs.size()});
+
+        for (auto& job : jobs) {
+          app.post_shade(*job);
+          for (u32 k = 0; k < job->gpu_items; ++k) {
+            const u32 i = job->gpu_index[k];
+            auto pkt = job->chunk.packet(i);
+            net::PacketView view;
+            ASSERT_EQ(net::parse_packet(pkt.data(), static_cast<u32>(pkt.size()), view),
+                      net::ParseStatus::kOk);
+            const auto expected = table.lookup(view.ipv4().dst());
+            if (expected == route::kNoRoute) {
+              EXPECT_EQ(job->chunk.verdict(i), iengine::PacketVerdict::kDrop);
+            } else {
+              EXPECT_EQ(job->chunk.out_port(i), static_cast<i16>(expected));
+            }
+          }
+        }
+      });
+}
+
+// The apps keep a reference to a fixed table, so a temporary must not bind.
+static_assert(std::is_constructible_v<Ipv4ForwardApp, const route::Ipv4Table&>);
+static_assert(!std::is_constructible_v<Ipv4ForwardApp, route::Ipv4Table&&>);
+static_assert(!std::is_constructible_v<Ipv4ForwardApp, const route::Ipv4Table&&>);
+static_assert(std::is_constructible_v<Ipv6ForwardApp, const route::Ipv6Table&>);
+static_assert(!std::is_constructible_v<Ipv6ForwardApp, route::Ipv6Table&&>);
+static_assert(!std::is_constructible_v<Ipv6ForwardApp, const route::Ipv6Table&&>);
+
+/// Key/next-hop staging slots a forwarding app allocates per GPU.
+constexpr std::size_t kStagingItems = 65536;
+
+TEST(Ipv4ForwardApp, FixedTableHoldsOneDeviceCopyAndNeverSyncs) {
+  const auto rib = route::generate_ipv4_rib({.prefix_count = 20'000, .num_next_hops = 8, .seed = 13});
   route::Ipv4Table table;
   table.build(rib);
+  ASSERT_GT(table.overflow_chunks(), 0u);
   Ipv4ForwardApp app(table);
-
   GpuHarness gpu;
-  gpu.ctx.streams.push_back(gpu.device.create_stream());
-  gpu.ctx.streams.push_back(gpu.device.create_stream());
   app.bind_gpu(gpu.device);
+  const u64 bound = gpu.device.allocated_bytes();
+  EXPECT_EQ(bound, table.tbl24().size_bytes() + table.tbl_long().size_bytes() +
+                       kStagingItems * (sizeof(u32) + sizeof(u16)));
 
-  gen::TrafficGen traffic({.seed = 12});
-  std::vector<std::unique_ptr<core::ShaderJob>> jobs;
-  std::vector<core::ShaderJob*> ptrs;
-  for (int j = 0; j < 3; ++j) {
-    jobs.push_back(std::make_unique<core::ShaderJob>(64));
-    for (int i = 0; i < 64; ++i) jobs.back()->chunk.append(traffic.next_frame());
-    app.pre_shade(*jobs.back());
-    ptrs.push_back(jobs.back().get());
-  }
-  app.shade(gpu.ctx, {ptrs.data(), ptrs.size()});
+  EXPECT_EQ(app.sync(), 0);
+  app.bind_gpu(gpu.device);  // idempotent per device
+  EXPECT_EQ(gpu.device.allocated_bytes(), bound);
+}
 
-  for (auto& job : jobs) {
-    app.post_shade(*job);
-    for (u32 k = 0; k < job->gpu_items; ++k) {
-      const u32 i = job->gpu_index[k];
-      auto pkt = job->chunk.packet(i);
-      net::PacketView view;
-      ASSERT_EQ(net::parse_packet(pkt.data(), static_cast<u32>(pkt.size()), view),
-                net::ParseStatus::kOk);
-      const auto expected = table.lookup(view.ipv4().dst());
-      if (expected == route::kNoRoute) {
-        EXPECT_EQ(job->chunk.verdict(i), iengine::PacketVerdict::kDrop);
-      } else {
-        EXPECT_EQ(job->chunk.out_port(i), static_cast<i16>(expected));
-      }
-    }
-  }
+TEST(Ipv6ForwardApp, FixedTableHoldsOneDeviceCopyAndNeverSyncs) {
+  const auto rib = route::generate_ipv6_rib(5000, 8, 14);
+  route::Ipv6Table table;
+  table.build(rib);
+  Ipv6ForwardApp app(table);
+  GpuHarness gpu;
+  app.bind_gpu(gpu.device);
+  const u64 bound = gpu.device.allocated_bytes();
+  const auto& flat = table.flat();
+  EXPECT_EQ(bound, flat.slots().size_bytes() + flat.level_offsets().size_bytes() +
+                       flat.level_masks().size_bytes() + kStagingItems * (16 + sizeof(u16)));
+
+  EXPECT_EQ(app.sync(), 0);
+  app.bind_gpu(gpu.device);
+  EXPECT_EQ(gpu.device.allocated_bytes(), bound);
 }
 
 }  // namespace

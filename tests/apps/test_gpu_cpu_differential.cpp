@@ -4,7 +4,8 @@
 // backpressured (pre_shade -> shade_cpu -> post_shade), and the results
 // must be byte-identical — frames, verdicts, and output ports. The
 // fallback is load-bearing (PR 1 routes every failed batch through it), so
-// it is held to exact equivalence, not plausibility.
+// it is held to exact equivalence, not plausibility. The forwarding apps
+// are checked over both table sources, fixed and live FIB.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +16,7 @@
 #include "apps/openflow_app.hpp"
 #include "gen/traffic.hpp"
 #include "route/rib_gen.hpp"
+#include "table_sources.hpp"
 
 namespace ps::apps {
 namespace {
@@ -65,44 +67,43 @@ void shade_both(core::Shader& gpu_app, core::Shader& cpu_app, GpuHarness& gpu,
 TEST(GpuCpuDifferential, Ipv4Forward) {
   const auto rib =
       route::generate_ipv4_rib({.prefix_count = 30'000, .num_next_hops = 8, .seed = 101});
-  route::Ipv4Table table;
-  table.build(rib);
-  Ipv4ForwardApp app(table);
-  GpuHarness gpu;
-  app.bind_gpu(gpu.device);
-
-  u32 seed = 200;
-  for (const u32 n : kChunkSizes) {
-    SCOPED_TRACE("chunk size " + std::to_string(n));
-    gen::TrafficGen traffic({.seed = seed++});
-    core::ShaderJob gpu_job(n), cpu_job(n);
-    fill_identical(gpu_job, cpu_job, traffic, n);
-    app.pre_shade(gpu_job);
-    app.pre_shade(cpu_job);
-    shade_both(app, app, gpu, gpu_job, cpu_job);
-    expect_identical(gpu_job, cpu_job);
-  }
+  for_each_table_source<Ipv4ForwardApp, route::Ipv4Table, route::Ipv4Fib>(
+      std::span<const route::Ipv4Prefix>(rib), [](Ipv4ForwardApp& app, const route::Ipv4Table&) {
+        GpuHarness gpu;
+        app.bind_gpu(gpu.device);
+        u32 seed = 200;
+        for (const u32 n : kChunkSizes) {
+          SCOPED_TRACE("chunk size " + std::to_string(n));
+          gen::TrafficGen traffic({.seed = seed++});
+          core::ShaderJob gpu_job(n), cpu_job(n);
+          fill_identical(gpu_job, cpu_job, traffic, n);
+          app.pre_shade(gpu_job);
+          app.pre_shade(cpu_job);
+          shade_both(app, app, gpu, gpu_job, cpu_job);
+          expect_identical(gpu_job, cpu_job);
+        }
+      });
 }
 
 TEST(GpuCpuDifferential, Ipv6Forward) {
   const auto rib = route::generate_ipv6_rib(20'000, 8, 102);
-  route::Ipv6Table table;
-  table.build(rib);
-  Ipv6ForwardApp app(table);
-  GpuHarness gpu;
-  app.bind_gpu(gpu.device);
-
-  u32 seed = 300;
-  for (const u32 n : kChunkSizes) {
-    SCOPED_TRACE("chunk size " + std::to_string(n));
-    gen::TrafficGen traffic({.kind = gen::TrafficKind::kIpv6Udp, .frame_size = 78, .seed = seed++});
-    core::ShaderJob gpu_job(n), cpu_job(n);
-    fill_identical(gpu_job, cpu_job, traffic, n);
-    app.pre_shade(gpu_job);
-    app.pre_shade(cpu_job);
-    shade_both(app, app, gpu, gpu_job, cpu_job);
-    expect_identical(gpu_job, cpu_job);
-  }
+  for_each_table_source<Ipv6ForwardApp, route::Ipv6Table, route::Ipv6Fib>(
+      std::span<const route::Ipv6Prefix>(rib), [](Ipv6ForwardApp& app, const route::Ipv6Table&) {
+        GpuHarness gpu;
+        app.bind_gpu(gpu.device);
+        u32 seed = 300;
+        for (const u32 n : kChunkSizes) {
+          SCOPED_TRACE("chunk size " + std::to_string(n));
+          gen::TrafficGen traffic(
+              {.kind = gen::TrafficKind::kIpv6Udp, .frame_size = 78, .seed = seed++});
+          core::ShaderJob gpu_job(n), cpu_job(n);
+          fill_identical(gpu_job, cpu_job, traffic, n);
+          app.pre_shade(gpu_job);
+          app.pre_shade(cpu_job);
+          shade_both(app, app, gpu, gpu_job, cpu_job);
+          expect_identical(gpu_job, cpu_job);
+        }
+      });
 }
 
 TEST(GpuCpuDifferential, OpenFlow) {

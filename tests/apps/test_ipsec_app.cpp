@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
 
 #include "apps/ipsec_gateway.hpp"
 #include "gen/traffic.hpp"
@@ -20,6 +21,11 @@ crypto::SecurityAssociation gateway_sa() {
   return crypto::SecurityAssociation::make_test_sa(0xabcd, net::Ipv4Addr(172, 16, 0, 1),
                                                    net::Ipv4Addr(172, 16, 0, 2));
 }
+
+// The app keeps a reference to its SA, so a temporary must not bind.
+static_assert(std::is_constructible_v<IpsecGatewayApp, const crypto::SecurityAssociation&>);
+static_assert(!std::is_constructible_v<IpsecGatewayApp, crypto::SecurityAssociation&&>);
+static_assert(!std::is_constructible_v<IpsecGatewayApp, const crypto::SecurityAssociation&&>);
 
 TEST(IpsecGatewayApp, GpuOutputDecapsulatesCleanly) {
   const auto sa = gateway_sa();

@@ -131,6 +131,7 @@ TEST(FrameCollector, StoresFrameBytes) {
   ASSERT_EQ(collector.size(), 2u);
   EXPECT_EQ(collector.frames()[0], a);
   EXPECT_EQ(collector.frames()[1], b);
+  EXPECT_EQ(collector.ports(), (std::vector<int>{0, 1}));
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 // with scripts/regen_goldens.sh (which also refreshes the checksum
 // manifest). The goldens come from the deterministic ModelDriver; the
 // ThreadedRouterGolden tests replay the same corpus through the threaded
-// core::Router, which runs the same core/stages functions. These tests
-// carry the ctest label "replay" (the CI replay-gate job) on top of tier-1.
+// core::Router, which runs the same core/stages functions. The IPv4-IMIX
+// and IPv6 replays also check each frame's egress port against the corpus
+// RIB. These tests carry the ctest label "replay" (the CI replay-gate job)
+// on top of tier-1.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -53,13 +55,28 @@ void expect_corpus_matches_golden(Corpus corpus, Scheduler scheduler = Scheduler
   ASSERT_TRUE(std::filesystem::exists(golden))
       << "missing golden capture " << golden << "; " << kRegenHint;
 
-  const FrameList actual = route_corpus(corpus, input, scheduler);
-  EXPECT_EQ(actual.size(), corpus_frame_count(corpus))
+  const RoutedTx actual = route_corpus(corpus, input, scheduler);
+  EXPECT_EQ(actual.frames.size(), corpus_frame_count(corpus))
       << corpus_name(corpus) << ": router did not forward every corpus frame";
 
-  const auto result = expect_frames(golden, actual, diff_path_for(corpus));
+  const auto result = expect_frames(golden, actual.frames, diff_path_for(corpus));
   EXPECT_TRUE(result.match) << corpus_name(corpus) << ": " << result.message << "; "
                             << kRegenHint;
+
+  // The goldens hold frame bytes only; the egress port is checked against
+  // the corpus RIB, so a frame sent out of the wrong port fails too.
+  if (corpus == Corpus::kIpsec) return;
+  const std::vector<int> expected_ports = corpus_rib_ports(corpus, actual.frames);
+  ASSERT_EQ(actual.ports.size(), expected_ports.size());
+  std::size_t wrong = 0;
+  for (std::size_t i = 0; i < expected_ports.size(); ++i) {
+    if (actual.ports[i] == expected_ports[i]) continue;
+    if (wrong++ == 0) {
+      ADD_FAILURE() << corpus_name(corpus) << ": canonical frame " << i << " left port "
+                    << actual.ports[i] << ", the RIB routes it to port " << expected_ports[i];
+    }
+  }
+  EXPECT_EQ(wrong, 0u) << corpus_name(corpus) << ": frames sent out of the wrong port";
 }
 
 TEST(ExpectGolden, Ipv4ImixReplaysByteIdentical) {
@@ -106,7 +123,7 @@ TEST(ThreadedRouterGolden, IpsecCarriesTheGoldenInnerFrames) {
   const FrameList expected = gen::read_pcap(corpus_golden_path(PS_TEST_DATA_DIR, Corpus::kIpsec));
   ASSERT_EQ(expected.size(), corpus_frame_count(Corpus::kIpsec)) << kRegenHint;
 
-  const FrameList actual = route_corpus(Corpus::kIpsec, input, Scheduler::kThreaded);
+  const FrameList actual = route_corpus(Corpus::kIpsec, input, Scheduler::kThreaded).frames;
   ASSERT_EQ(actual.size(), expected.size());
   const FrameList actual_inner = decapsulated(actual);
   const FrameList expected_inner = decapsulated(expected);

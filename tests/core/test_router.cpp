@@ -2,6 +2,7 @@
 // mode, opportunistic offloading, and per-flow ordering (section 5.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <mutex>
@@ -213,6 +214,43 @@ TEST(Router, StopIsIdempotentAndRestartable) {
   router.stop();
   router.stop();  // no-op
   SUCCEED();
+}
+
+TEST(RouterAudit, PollsWhileForwarding) {
+  // audit() polled while the workers forward: mid-run it reads the
+  // workers' single-writer in-flight counters, never their job pools, so
+  // the poll is race-free (this suite runs under TSan via LockfreeSuite).
+  // Once the traffic has drained the identity closes exactly, before and
+  // after stop().
+  RouterFixture fx(/*use_gpu=*/true);
+  RouterConfig config;
+  config.use_gpu = true;
+  Router router(fx.testbed.engine(), fx.testbed.gpus(), fx.app, config);
+  router.start();
+
+  u64 offered = 0;
+  u64 max_in_flight = 0;
+  for (int burst = 0; burst < 8; ++burst) {
+    offered += fx.traffic.offer(fx.testbed.ports(), 400);
+    for (int poll = 0; poll < 50; ++poll) {
+      max_in_flight = std::max(max_in_flight, router.audit().in_flight);
+    }
+  }
+  EXPECT_LE(max_in_flight, offered);
+
+  ConservationAudit drained;
+  ASSERT_TRUE(wait_for([&] {
+    drained = router.audit();
+    return fx.traffic.sunk_packets() == offered && drained.balanced();
+  })) << "rx " << drained.rx << " tx " << drained.tx << " in flight " << drained.in_flight;
+  EXPECT_EQ(drained.rx, offered);
+  EXPECT_EQ(drained.in_flight, 0u);
+  router.stop();
+
+  const ConservationAudit stopped = router.audit();
+  EXPECT_TRUE(stopped.balanced());
+  EXPECT_EQ(stopped.rx, offered);
+  EXPECT_EQ(stopped.in_flight, 0u);
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ TEST(GpuDeviceMore, AllocationChurn) {
 
 TEST(GpuDeviceMore, ConcurrentOpsFromTwoThreadsAreSafe) {
   // A master thread launching kernels while a control-plane thread uploads
-  // tables — the DynamicIpv4ForwardApp::sync scenario.
+  // tables — the Ipv4ForwardApp::sync scenario.
   GpuDevice dev(0, topo(), std::make_shared<SimtExecutor>(2u));
   auto table_a = dev.alloc(1 << 16);
   auto table_b = dev.alloc(1 << 16);

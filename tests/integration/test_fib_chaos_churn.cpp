@@ -16,7 +16,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "apps/dynamic_ipv4.hpp"
+#include "apps/ipv4_forward.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_injector.hpp"
@@ -74,7 +74,7 @@ TEST(FibChaosChurn, FaultedChurnUnderTrafficStaysCorrectAndConservesPackets) {
   model.emplace(key_of(default_route), default_route);
   for (const auto& p : base) model.emplace(key_of(p), p);
 
-  apps::DynamicIpv4ForwardApp app(fib);
+  apps::Ipv4ForwardApp app(fib);
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = true,
                          .ring_size = 4096,

@@ -11,7 +11,7 @@
 #include <functional>
 #include <thread>
 
-#include "apps/dynamic_ipv4.hpp"
+#include "apps/ipv4_forward.hpp"
 #include "core/router.hpp"
 #include "core/testbed.hpp"
 #include "fault/fault_injector.hpp"
@@ -49,7 +49,7 @@ TEST(FibChurn, CommitsUnderTrafficAndFaultsCauseNoTornLookupsOrLoss) {
   route::Ipv4Fib fib;
   fib.announce({net::Ipv4Addr(0), 0, 1});  // default route, never withdrawn
   fib.commit();
-  apps::DynamicIpv4ForwardApp app(fib);
+  apps::Ipv4ForwardApp app(fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = true,

@@ -19,7 +19,7 @@
 #include <string>
 #include <thread>
 
-#include "apps/dynamic_ipv4.hpp"
+#include "apps/ipv4_forward.hpp"
 #include "apps/ipsec_gateway.hpp"
 #include "apps/ipv4_forward.hpp"
 #include "core/model_driver.hpp"
@@ -284,7 +284,7 @@ TEST(IntegrityChaos, CorruptionUnderFibChurnStaysExact) {
   fib.announce({net::Ipv4Addr(10, 0, 0, 2), 32, 1});
   fib.announce({net::Ipv4Addr(0), 0, 2});
   fib.commit();
-  apps::DynamicIpv4ForwardApp app(fib);
+  apps::Ipv4ForwardApp app(fib);
 
   core::Testbed testbed({.topo = pcie::Topology::single_node(),
                          .use_gpu = true,

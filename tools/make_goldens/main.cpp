@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
     const std::string golden = ps::cap::corpus_golden_path(data_dir, corpus);
 
     ps::cap::write_corpus_input(corpus, input);
-    const auto tx = ps::cap::route_corpus(corpus, input);
+    const auto tx = ps::cap::route_corpus(corpus, input).frames;
     if (tx.size() != ps::cap::corpus_frame_count(corpus)) {
       std::fprintf(stderr, "%s: router forwarded %zu of %llu corpus frames; refusing to "
                            "bless a lossy golden\n",

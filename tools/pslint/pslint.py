@@ -33,14 +33,18 @@ or the preceding line):
                       comment explaining why they are off the fast path.
   steady-state-growth container growth (push_back/emplace_back/resize/
                       insert/emplace) inside a steady-state function
-                      (worker_loop, recv_chunk, lookup_batch, ...) in
-                      src/core, src/iengine, or src/route, when the file
-                      never reserves that container. Growth in the
-                      per-packet loops reintroduces the allocations the
-                      warm-up phase exists to front-load; the counting
-                      allocator test catches the aggregate, this rule
-                      names the line. Containers warmed elsewhere or
-                      deliberately amortised carry an allow comment.
+                      (worker_loop, recv_chunk, lookup_batch, the app
+                      hooks pre_shade/shade/shade_cpu/post_shade/
+                      process_cpu, ...) in src/core, src/iengine,
+                      src/route, or src/apps, when the file never
+                      reserves that container. The ShaderJob staging
+                      containers reserved in core/shader.hpp count as
+                      reserved everywhere. Growth in the per-packet loops
+                      reintroduces the allocations the warm-up phase
+                      exists to front-load; the counting allocator test
+                      catches the aggregate, this rule names the line.
+                      Containers warmed elsewhere or deliberately
+                      amortised carry an allow comment.
   read-path-lock      lock acquisition (MutexLock, lock_guard, .lock())
                       or a mutex-taking FIB snapshot() inside the
                       per-packet read path: lookup/lookup_batch in
@@ -383,17 +387,22 @@ def check_hot_sleep(sf, findings):
 # loops that run for every batch once the pipeline is warm, including the
 # core/stages functions both schedulers call. Setup code (build(),
 # constructors, start()) is free to grow whatever it likes.
-STEADY_DIRS = ("core", "iengine", "route")
+STEADY_DIRS = ("core", "iengine", "route", "apps")
 STAGE_FNS = (
     "drop_integrity_bad|admit_rx|process_inline|run_pre_shade|check_gather|"
     "shade_on_cpu|verify_batch|restamp_in_place|check_scatter|"
     "run_post_shade|check_tx"
 )
+# The application hooks (core/shader.hpp) every chunk passes through.
+APP_HOOK_FNS = "pre_shade|shade|shade_cpu|post_shade|process_cpu"
 STEADY_FNS = (
     "worker_loop|master_loop|recv_and_dispatch|finish_job|process_cpu_only|"
     "shade_batch|cpu_fallback_batch|recv_chunk|recv_from_queue|send_chunk|"
-    "lookup_batch|lookup|" + STAGE_FNS
+    "lookup_batch|lookup|" + STAGE_FNS + "|" + APP_HOOK_FNS
 )
+# ShaderJob reserves its staging containers once at construction
+# (core/shader.hpp); a hook growing them reuses that capacity.
+SHADER_JOB_HEADER = "core/shader.hpp"
 STEADY_FN_RE = re.compile(r"\b(%s)\s*\(" % STEADY_FNS)
 GROWTH_METHODS = "push_back|emplace_back|resize|insert|emplace"
 GROWTH_RE = re.compile(
@@ -434,15 +443,28 @@ def _steady_bodies(code, fn_re=None):
     return bodies
 
 
-def check_steady_state_growth(sf, findings):
+RESERVE_RE = re.compile(r"\b(\w+)\s*(?:\.|->)\s*reserve\s*\(")
+
+
+def shader_job_reserved(files):
+    """Containers the ShaderJob constructor reserves, which every file may
+    treat as warmed."""
+    for sf in files:
+        if sf.rel == SHADER_JOB_HEADER:
+            return set(RESERVE_RE.findall(sf.code_nostr))
+    return set()
+
+
+def check_steady_state_growth(sf, findings, warmed=frozenset()):
     top = sf.rel.split("/", 1)[0]
     if top not in STEADY_DIRS:
         return
     code = sf.code_nostr
     # A container counts as warmed when this file reserves it anywhere
     # (constructor, start(), job-pool setup — order in the file does not
-    # matter, the point is that someone owns its capacity).
-    reserved = set(re.findall(r"\b(\w+)\s*(?:\.|->)\s*reserve\s*\(", code))
+    # matter, the point is that someone owns its capacity), or when it is
+    # a ShaderJob staging container.
+    reserved = set(RESERVE_RE.findall(code)) | set(warmed)
     for fn, start, end in _steady_bodies(code):
         for gm in GROWTH_RE.finditer(code, start, end):
             receiver = re.sub(r"\[[^\]]*\]", "", gm.group(1))
@@ -813,12 +835,13 @@ def main(argv):
     files = collect_files(args.src)
     findings = []
     mc_code_keys = {}
+    warmed = shader_job_reserved(files)
     for sf in files:
         check_bare_atomic(sf, findings)
         check_single_writer(sf, findings)
         check_drop_reason_default(sf, findings)
         check_hot_sleep(sf, findings)
-        check_steady_state_growth(sf, findings)
+        check_steady_state_growth(sf, findings, warmed)
         check_read_path_lock(sf, findings)
         check_handoff_mutex(sf, findings)
         check_atomics_audit(sf, findings, mc_code_keys)
